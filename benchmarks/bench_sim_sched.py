@@ -1,27 +1,28 @@
 """Benchmarks of the simulation core and MIP assembly at fleet scale.
 
 Not a paper figure — these gate the §3/§3.1 scaling work: the
-event-driven simulation engine against the dense reference loop
-(quarter and year horizons, the paper's 700-server cluster), and the
-vectorized MIP constraint assembly against the per-coefficient loop
-(8, 64, and 200 candidate sites, with the assembly/solve wall-clock
-split reported separately).
+event-driven step-kernel path (``engine="event"``, alias ``"soa"``)
+against the dense object-model oracle (quarter and year horizons, the
+paper's 700-server cluster), and the vectorized MIP constraint assembly
+against the per-coefficient loop (8, 64, and 200 candidate sites, with
+the assembly/solve wall-clock split reported separately).
 
 Every run writes machine-readable ``BENCH_sim_sched.json`` at the repo
 root; CI uploads it as an artifact and fails the bench-smoke job if the
-event engine is slower than dense on the year-horizon fleet scenario
-(both engines are result-identical, so slower would mean the skipping
-machinery costs more than it saves).
+kernel is slower than dense on the year-horizon fleet scenario (both
+are result-identical, so slower would mean the skipping machinery
+costs more than it saves).
 
 Two workload shapes on purpose:
 
 * *Continuous* (quarter horizon): Figure-4-style arrivals at nearly
-  every step.  There is nothing to skip, so event ≈ dense — reported
-  honestly, no speedup gate.
+  every step.  There is little to skip — reported honestly, no speedup
+  gate.
 * *Fleet* (year horizon): sparse batch campaigns on each of several
   sites, the year-long hundreds-of-sites study §3 motivates.  Dense
-  walks all 35,040 steps per site regardless; event wakes only where
-  state can change, which is where the ≥3x year-horizon gate lives.
+  walks all 35,040 steps per site regardless; the kernel wakes only
+  where state can change, which is where the ≥3x year-horizon headroom
+  lives.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def bench_json_writer():
 
 
 # ----------------------------------------------------------------------
-# Simulation core: dense vs event
+# Simulation core: dense oracle vs step kernel
 # ----------------------------------------------------------------------
 
 
@@ -129,9 +130,9 @@ def _fleet_site(site_seed: int, grid) -> tuple:
 def test_sim_quarter_continuous():
     """Quarter horizon, Figure-4-style continuous arrivals.
 
-    Every step has work, so the event engine cannot skip — this bench
-    documents that its overhead on dense workloads stays small, and
-    checks the engines agree on a real workload inside the bench run.
+    Nearly every step has work, so the kernel can hardly skip — this
+    bench documents its cost on dense workloads, and checks the engines
+    agree on a real workload inside the bench run.
     """
     grid = grid_days(BENCH_START, 90)
     trace = synthesize_wind(grid, seed=2, name="site")
@@ -144,31 +145,31 @@ def test_sim_quarter_continuous():
     dense, dense_s = _time_once(
         lambda: Datacenter(config, trace).run(requests, engine="dense")
     )
-    event, event_s = _time_once(
+    kernel, kernel_s = _time_once(
         lambda: Datacenter(config, trace).run(requests, engine="event")
     )
-    assert dense.records == event.records
-    assert list(dense.events) == list(event.events)
+    assert dense.records == kernel.records
+    assert list(dense.events) == list(kernel.events)
     _record(
         "sim_quarter_continuous",
         n_steps=grid.n,
         n_requests=len(requests),
         dense_s=dense_s,
-        event_s=event_s,
-        event_vs_dense=dense_s / event_s,
+        kernel_s=kernel_s,
+        kernel_vs_dense=dense_s / kernel_s,
     )
-    # No speedup gate: with arrivals at ~every step there is nothing to
+    # No speedup gate: with arrivals at ~every step there is little to
     # skip.  The engines must simply stay in the same ballpark.
-    assert event_s <= dense_s * 1.5
+    assert kernel_s <= dense_s * 1.5
 
 
 def test_sim_year_fleet():
     """Year horizon x 8 sites, sparse batch campaigns (the fleet study).
 
-    The CI gate: the event engine must not be slower than dense here
-    (1.0x), and the recorded speedup is expected to be >= 3x on an
-    unloaded machine — dense walks 35,040 steps per site while event
-    wakes at roughly a sixth of them.
+    The CI gate: the kernel must not be slower than dense here (1.0x),
+    and the recorded speedup is expected to be >= 3x on an unloaded
+    machine — dense walks 35,040 steps per site while the kernel wakes
+    at roughly a sixth of them.
     """
     grid = grid_days(YEAR_START, 365)
     config = DatacenterConfig()
@@ -181,36 +182,33 @@ def test_sim_year_fleet():
         ]
 
     dense, dense_s = _time_once(lambda: run("dense"))
-    event, event_s = _time_once(lambda: run("event"))
-    for dense_result, event_result in zip(dense, event):
-        assert dense_result.records == event_result.records
-    speedup = dense_s / event_s
+    kernel, kernel_s = _time_once(lambda: run("event"))
+    for dense_result, kernel_result in zip(dense, kernel):
+        assert dense_result.records == kernel_result.records
+    speedup = dense_s / kernel_s
     _record(
         "sim_year_fleet_8sites",
         n_steps=grid.n,
         n_sites=len(sites),
         n_requests_per_site=len(sites[0][1]),
         dense_s=dense_s,
-        event_s=event_s,
-        event_vs_dense=speedup,
+        kernel_s=kernel_s,
+        kernel_vs_dense=speedup,
     )
-    # Result-identical engines: event slower than dense would mean the
-    # skipping machinery costs more than it saves.  (>=3x is the
+    # Result-identical engines: the kernel slower than dense would mean
+    # the skipping machinery costs more than it saves.  (>=3x is the
     # expected headroom; 1.0x is the hard CI gate so a loaded runner
     # doesn't flake the build.)
     assert speedup >= 1.0
 
 
 def test_sim_year_single_site_step_kernel():
-    """Single site-year, all three engines: dense vs event vs soa.
+    """Single site-year: the dense oracle vs the step kernel.
 
-    The step-kernel microbench: ``engine="soa"`` runs the same event
-    loop as ``engine="event"`` but advances structure-of-arrays state
-    (:class:`repro.cluster.kernel.StepKernel`) instead of the VM /
-    server object graph, so the difference isolates the kernel's
-    per-wake win.  Results are asserted identical; the gate only pins
-    the kernel against the dense reference walk so a loaded runner
-    cannot flake on the event/soa ratio.
+    The step-kernel microbench: one ``Datacenter.run`` on the
+    structure-of-arrays :class:`repro.cluster.kernel.StepKernel`
+    (``engine="soa"``) against the dense object-model walk.  Results
+    are asserted identical, and the kernel may not be slower.
     """
     grid = grid_days(YEAR_START, 365)
     config = DatacenterConfig()
@@ -220,26 +218,22 @@ def test_sim_year_single_site_step_kernel():
         return Datacenter(config, trace).run(requests, engine=engine)
 
     dense, dense_s = _time_once(lambda: run("dense"))
-    event, event_s = _time_once(lambda: run("event"))
-    soa, soa_s = _time_once(lambda: run("soa"))
-    assert dense.records == event.records
-    assert dense.records == soa.records
-    assert list(dense.events) == list(soa.events)
+    kernel, kernel_s = _time_once(lambda: run("soa"))
+    assert dense.records == kernel.records
+    assert list(dense.events) == list(kernel.events)
     _record(
         "sim_year_single_site_step_kernel",
         n_steps=grid.n,
         n_requests=len(requests),
         dense_s=dense_s,
-        event_s=event_s,
-        soa_s=soa_s,
-        soa_vs_event=event_s / soa_s,
-        soa_vs_dense=dense_s / soa_s,
+        kernel_s=kernel_s,
+        kernel_vs_dense=dense_s / kernel_s,
     )
-    assert soa_s <= dense_s
+    assert kernel_s <= dense_s
 
 
 def test_sim_year_fleet_tracing_overhead():
-    """Year-fleet event engine with tracing off vs on.
+    """Year-fleet kernel runs with tracing off vs on.
 
     The no-op observability path must stay free: with no sinks the
     instrumented engine may not regress more than 5% against itself

@@ -9,12 +9,11 @@ no-supply call (plus a small absolute floor so a loaded runner doesn't
 flake on sub-second noise), and must stay result-identical.
 
 The battery closed-loop bench carries a second hard gate: with the
-span-kernel dispatch windows and the SoA step kernel
-(``engine="soa"``), a battery-backed closed-loop site-year must stay
-within 4x of the legacy open-loop event run of the same site —
-closed-loop dispatch is stateful at every step, but the per-step cost
-is a handful of float operations in a tight loop, not an object-graph
-walk.  The open-loop evaluation throughput is recorded without a
+span-kernel dispatch windows and the SoA step kernel, a battery-backed
+closed-loop site-year must stay within 4x of the open-loop kernel run
+of the same site without supply — closed-loop dispatch is stateful at
+every step, but the per-step cost is a handful of float operations in
+a tight loop, not an object-graph walk.  The open-loop evaluation throughput is recorded without a
 gate.
 
 The carbon leg carries the third hard gate: swapping the flat-budget
@@ -108,7 +107,7 @@ def _fleet_site(site_seed: int, grid) -> tuple:
     """One fleet site-year: three sparse week-scale batch campaigns.
 
     Mirrors ``bench_sim_sched._fleet_site`` — the shape whose skipped
-    steps make the event engine fast, i.e. where added per-run
+    steps make the step kernel fast, i.e. where added per-run
     composition overhead would show up proportionally largest.
     """
     rng = np.random.default_rng(site_seed)
@@ -138,7 +137,7 @@ def _fleet_site(site_seed: int, grid) -> tuple:
 
 
 def test_supply_empty_stack_overhead():
-    """Year-fleet event run: empty supply stack vs the legacy call.
+    """Year-fleet kernel run: empty supply stack vs the legacy call.
 
     The CI gate.  An empty stack is a pass-through — ``Datacenter.run``
     must detect it and take the exact legacy precomputed-budget path,
@@ -174,15 +173,15 @@ def test_supply_empty_stack_overhead():
 
 
 def test_supply_battery_closed_loop_year():
-    """One battery-backed site-year, closed loop, all three engines.
+    """One battery-backed site-year, closed loop, kernel and dense.
 
-    The second CI gate: the fastest closed-loop path
-    (``engine="soa"`` — span-kernel dispatch windows over the SoA step
-    kernel) must stay within 4x of the legacy open-loop event run of
-    the same site (+0.5s noise floor).  Dispatch is stateful at every
-    step, so some multiple is inherent; an order of magnitude would
-    mean the per-step work regressed to object-graph walking.  The
-    engines stay result-identical.
+    The second CI gate: the closed-loop kernel path (span-kernel
+    dispatch windows over the SoA step kernel) must stay within 4x of
+    the open-loop kernel run of the same site without supply (+0.5s
+    noise floor).  Dispatch is stateful at every step, so some
+    multiple is inherent; an order of magnitude would mean the
+    per-step work regressed to object-graph walking.  The kernel stays
+    result-identical to the dense oracle.
     """
     grid = grid_days(YEAR_START, 365)
     config = DatacenterConfig()
@@ -191,15 +190,10 @@ def test_supply_battery_closed_loop_year():
         (BatteryDispatch(capacity_mwh=800.0, max_power_mw=200.0),)
     )
 
-    _, legacy_s = _time_once(
+    _, open_s = _time_once(
         lambda: Datacenter(config, trace).run(requests, engine="event")
     )
-    soa, soa_s = _time_once(
-        lambda: Datacenter(config, trace, supply=stack).run(
-            requests, engine="soa"
-        )
-    )
-    event, event_s = _time_once(
+    kernel, kernel_s = _time_once(
         lambda: Datacenter(config, trace, supply=stack).run(
             requests, engine="event"
         )
@@ -209,28 +203,23 @@ def test_supply_battery_closed_loop_year():
             requests, engine="dense"
         )
     )
-    assert event.records == dense.records
-    assert soa.records == dense.records
+    assert kernel.records == dense.records
     np.testing.assert_array_equal(
-        event.supply.soc_mwh, dense.supply.soc_mwh
-    )
-    np.testing.assert_array_equal(
-        soa.supply.soc_mwh, dense.supply.soc_mwh
+        kernel.supply.soc_mwh, dense.supply.soc_mwh
     )
     _record(
         "supply_battery_closed_loop_year",
         n_steps=grid.n,
-        legacy_event_s=legacy_s,
-        closed_soa_s=soa_s,
-        closed_event_s=event_s,
+        open_loop_kernel_s=open_s,
+        closed_kernel_s=kernel_s,
         closed_dense_s=dense_s,
-        closed_soa_vs_legacy=soa_s / legacy_s,
-        charge_mwh=event.supply.charge_total_mwh,
-        discharge_mwh=event.supply.discharge_total_mwh,
+        closed_kernel_vs_open_loop=kernel_s / open_s,
+        charge_mwh=kernel.supply.charge_total_mwh,
+        discharge_mwh=kernel.supply.discharge_total_mwh,
     )
-    # Hard gate: a closed-loop battery year on the fastest path stays
-    # within 4x of the legacy open-loop event run.
-    assert soa_s <= legacy_s * 4.0 + 0.5
+    # Hard gate: a closed-loop battery year on the kernel stays within
+    # 4x of the open-loop kernel run.
+    assert kernel_s <= open_s * 4.0 + 0.5
 
 
 def test_supply_priced_grid_closed_loop_year():

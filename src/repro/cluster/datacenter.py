@@ -14,26 +14,28 @@ Per step, the simulator:
 5. When power allows, launches queued VMs — each launch counts as an
    in-migration, again moving its memory footprint.
 
-Two execution engines share the exact same phase code and state:
+One engine path, plus an oracle:
 
-``engine="dense"`` steps every grid point — the reference loop.
+``engine="event"`` (the default) and ``engine="soa"`` are two names for
+the same run: the structure-of-arrays :class:`~repro.cluster.kernel.\
+StepKernel` driven by :meth:`Datacenter.advance`.  It wakes only at
+steps where something can happen — VM arrivals, scheduled finishes,
+queue-patience expiries, and *power-change steps* where the core-budget
+series crosses a wake threshold (budget below running cores →
+eviction; budget at or above ``running + head_of_paused`` → resume;
+budget reaching the smallest power-blocked queued VM's requirement →
+launch).  Every skipped step is provably a no-op: between wake steps no
+state mutates, so its record is a forward-fill of
+running/allocated/queue-length with zero counts.
 
-``engine="event"`` (the default) is event-driven: it wakes only at
-steps where something can happen — VM arrivals, scheduled finishes
-(min-heap), queue-patience expiries (min-heap), and *power-change
-steps* where the precomputed core-budget series crosses a wake
-threshold (budget below running cores → eviction; budget at or above
-``running + head_of_paused`` → resume; budget reaching the smallest
-power-blocked queued VM's requirement → launch).  Every skipped step
-is provably a no-op: between wake steps no state mutates, so its
-record is a forward-fill of running/allocated/queue-length with zero
-counts.  VM completions are batched per server (one bucket move per
-server per step), and per-step records accumulate into preallocated
-numpy columns rather than a list of dataclasses.
+``engine="dense"`` steps every grid point over the ``VM`` / ``Server``
+object model in this module — the golden oracle the kernel is pinned
+against, not a production path.
 
-Placement uses a free-core-bucketed server pool (sorted-list buckets
-with a nonempty-bucket index) so a 700-server year-long simulation
-runs in seconds rather than hours.
+Per-step records accumulate into preallocated numpy columns rather
+than a list of dataclasses, and the oracle's placement uses a
+free-core-bucketed server pool (sorted-list buckets with a
+nonempty-bucket index).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from time import perf_counter
 from typing import Sequence
 
@@ -53,7 +54,7 @@ from ..supply import SupplyDispatcher, SupplyEvaluation, SupplyStack
 from ..traces import PowerTrace
 from ..units import TimeGrid, bytes_to_gb
 from ..workload import VMRequest
-from .admission import AdmissionControl, min_budget_for_cap
+from .admission import AdmissionControl
 from .events import EventKind, EventLog, NullEventLog
 from .kernel import StepKernel
 from .livemigration import LiveMigrationModel, estimate_migration
@@ -198,6 +199,22 @@ class StepColumns:
         for name in cls.__slots__[1:]:
             setattr(cols, name, views[name])
         return cols
+
+    def forward_fill(self, steps: Sequence[int], stop: int) -> None:
+        """Carry state from each of ``steps`` over the skipped steps.
+
+        ``steps`` are sorted steps whose carried-state columns (running,
+        allocated, queue length) already hold their values; every step
+        between one of them and the next (or ``stop``) is a skipped
+        no-op step that repeats it — one ``np.repeat`` per column.
+        """
+        idx = np.array(steps)
+        lengths = np.diff(np.append(idx, stop))
+        first = steps[0]
+        for column in (
+            self.running_cores, self.allocated_cores, self.queue_length
+        ):
+            column[first:stop] = np.repeat(column[idx], lengths)
 
 
 class SimulationResult:
@@ -366,17 +383,14 @@ class SimulationResult:
 
 @dataclass
 class EngineState:
-    """Prepared per-run state of one site's event engine.
+    """Prepared per-run state of one site.
 
     Everything :meth:`Datacenter.run` derives from the request list and
     the supply mode before stepping — the per-step column store, the
-    precomputed budget series (open loop), the arrival schedule, and
-    the closed-loop dispatcher — extracted so external engines (the
-    cross-site :class:`repro.sim.fleet.FleetEngine`) can drive the same
-    site machinery wake by wake.  The finish min-heap lives on the
-    :class:`Datacenter` itself (state transitions push into it); the
-    queue-expiry heap and arrival cursor live here because they belong
-    to one run's traversal, not to the cluster.
+    precomputed budget series (open loop), the step kernel, and the
+    closed-loop dispatcher — extracted so :meth:`Datacenter.advance`,
+    sessions, and the cross-site :class:`repro.sim.fleet.FleetEngine`
+    can drive the same site machinery.
 
     Attributes:
         n: Grid length.
@@ -385,20 +399,21 @@ class EngineState:
             fleet-shared site-major block).
         budgets: Precomputed core-budget series; ``None`` in closed
             loop, where budgets depend on live demand.
-        arrivals_by_step: Step → VMs arriving there.
-        arrival_steps: Sorted arrival steps.
+        arrivals_by_step: Step → VMs arriving there, for the dense
+            oracle; empty when the run was prepared with a kernel.
         n_requests: Requests offered (for telemetry).
         closed: True when a stateful stack dispatches per step.
         dispatcher: Closed-loop dispatch state, when ``closed``.
         evaluation: Supply telemetry columns (either mode), or None.
-        arrival_index: Cursor into :attr:`arrival_steps`.
-        expiry_heap: Min-heap of queue-patience expiry steps.
-        last: Last processed step (-1 before the first wake).
         processed: Wake steps executed so far.
         kernel: The SoA step kernel when the run was prepared with
-            ``kernel=True`` (``engine="soa"`` and fleet runs); the
-            object-model fields above stay empty then — the kernel owns
-            the arrival schedule and heaps itself.
+            ``kernel=True``; it owns the arrival schedule, the event
+            heaps, and the cursor :meth:`Datacenter.advance` resumes
+            from.
+        span_precompute: Whole-run base-power, round-trip, clipped and
+            budget series a closed-loop run's pinned windows commit
+            (built by the first :meth:`Datacenter.advance`); reset to
+            ``None`` whenever the trace or the prices behind it change.
     """
 
     n: int
@@ -406,16 +421,13 @@ class EngineState:
     cols: StepColumns
     budgets: np.ndarray | None
     arrivals_by_step: dict[int, list[VM]]
-    arrival_steps: list[int]
     n_requests: int
     closed: bool
     dispatcher: SupplyDispatcher | None
     evaluation: SupplyEvaluation | None
-    arrival_index: int = 0
-    expiry_heap: list[int] = field(default_factory=list)
-    last: int = -1
     processed: int = 0
     kernel: StepKernel | None = None
+    span_precompute: tuple | None = None
 
 
 class _ServerPool:
@@ -425,8 +437,7 @@ class _ServerPool:
     cores as a *sorted list*, and ``_nonempty`` is a sorted index of
     the bucket sizes currently populated, so placement queries iterate
     only populated buckets (a nearly-full pool concentrates servers in
-    a handful of low-free buckets) and batch releases move a server
-    between buckets once per step instead of once per completed VM.
+    a handful of low-free buckets).
 
     Sorted buckets make every query deterministic in the server id —
     placement picks the lowest id within the chosen bucket — so results
@@ -473,13 +484,6 @@ class _ServerPool:
         """Remove ``vm`` and update buckets."""
         old_free = server.free_cores
         server.release(vm)
-        self._move(server, old_free)
-
-    def release_batch(self, server: Server, vms: Sequence[VM]) -> None:
-        """Remove several VMs from one server with a single bucket move."""
-        old_free = server.free_cores
-        for vm in vms:
-            server.release(vm)
         self._move(server, old_free)
 
     def find(self, vm: VM, mode: str) -> Server | None:
@@ -537,12 +541,12 @@ class Datacenter:
         supply_mode: ``"closed"`` (default): the simulator queries the
             stack each processed step with its current demand, so the
             battery charges from real surplus and discharges into real
-            dips.  The dense engine executes every step; the event
-            engine dispatches per step too, except over windows where
+            dips.  The dense oracle executes every step; the kernel
+            path dispatches per step too, except over windows where
             the stack is provably *pinned* (battery at a SoC bound,
             grid budget exhausted) for the window's balance sign — there
             the dispatch is a bit-exact no-op and whole spans are
-            skipped (see :meth:`_run_closed_event`).
+            skipped (see :meth:`advance`).
             ``"open"``: the stack's precomputed delivered series
             replaces the trace values up front and the engines run
             untouched, skips and all.
@@ -586,13 +590,6 @@ class Datacenter:
         self._running_cores = 0
         self._allocated_cores = 0
         self._finish_at: dict[int, list[VM]] = {}
-        # Min-heap of scheduled finish steps (possibly stale entries;
-        # a wake at a stale step is a harmless no-op).
-        self._finish_heap: list[int] = []
-        # Smallest core count among queued VMs blocked by *power*
-        # headroom at the last processed step; None when every queued
-        # VM is blocked by packing (budget growth cannot help those).
-        self._launch_blocked_min_cores: int | None = None
         # Per-memory-size wire-byte cache for the live-migration model.
         self._wire_cache: dict[float, float] = {}
         # (lower, upper) budget bounds -> norm-space thresholds, cached
@@ -633,12 +630,7 @@ class Datacenter:
     def _schedule_finish(self, vm: VM, step: int) -> None:
         finish = step + vm.remaining_steps
         vm.finish_step = finish
-        bucket = self._finish_at.get(finish)
-        if bucket is None:
-            self._finish_at[finish] = [vm]
-            heappush(self._finish_heap, finish)
-        else:
-            bucket.append(vm)
+        self._finish_at.setdefault(finish, []).append(vm)
 
     def _start(self, vm: VM, server: Server, step: int) -> None:
         self.pool.host(server, vm)
@@ -705,53 +697,6 @@ class Datacenter:
             self._complete(vm, step)
             completed += 1
         return completed
-
-    def _phase_completions_batched(self, step: int) -> int:
-        """Batched completion: one bucket move per server per step.
-
-        Result-identical to :meth:`_phase_completions` — bucket
-        membership after the phase is the same regardless of release
-        order, and sorted buckets make placement queries independent of
-        insertion order — but a server losing several VMs this step
-        re-buckets once.
-        """
-        finished = self._finish_at.pop(step, None)
-        if not finished:
-            return 0
-        # A same-step pause->resume re-schedules the VM to its original
-        # finish step, so the bucket can hold the same (live) VM twice;
-        # keep first occurrences only (the per-VM path deduplicates
-        # implicitly because completing mutates the state).
-        valid: list[VM] = []
-        seen: set[int] = set()
-        for vm in finished:
-            if (
-                vm.state is VMState.RUNNING
-                and vm.finish_step == step
-                and vm.vm_id not in seen
-            ):
-                seen.add(vm.vm_id)
-                valid.append(vm)
-        if not valid:
-            return 0
-        by_server: dict[int, list[VM]] = {}
-        for vm in valid:
-            by_server.setdefault(vm.server_id, []).append(vm)
-        servers = self.pool.servers
-        for server_id, vms in by_server.items():
-            self.pool.release_batch(servers[server_id], vms)
-        freed = 0
-        record = self.events.record
-        for vm in valid:
-            vm.state = VMState.COMPLETED
-            vm.remaining_steps = 0
-            vm.finish_step = None
-            vm.server_id = None
-            freed += vm.cores
-            record(step, EventKind.COMPLETE, vm.vm_id)
-        self._running_cores -= freed
-        self._allocated_cores -= freed
-        return len(valid)
 
     def _phase_power_down(
         self, step: int, budget: int
@@ -823,12 +768,10 @@ class Datacenter:
         self, step: int, budget: int
     ) -> tuple[float, int, int]:
         if not self._queue:
-            self._launch_blocked_min_cores = None
             return 0.0, 0, 0
         in_bytes = 0.0
         n_launched = 0
         n_expired = 0
-        blocked_min: int | None = None
         patience = self.config.queue_patience_steps
         cap_capacity = budget if self.config.power_relative_admission else None
         cap = self.admission.core_cap(cap_capacity)
@@ -851,24 +794,14 @@ class Datacenter:
             if headroom <= 0:
                 # Nothing more can start this step; keep the rest queued.
                 survivors.append((vm, queued_at))
-                blocked = vm.cores
-                while self._queue:
-                    other = self._queue.popleft()
-                    survivors.append(other)
-                    if other[0].cores < blocked:
-                        blocked = other[0].cores
-                if blocked_min is None or blocked < blocked_min:
-                    blocked_min = blocked
+                survivors.extend(self._queue)
+                self._queue.clear()
                 break
             if vm.cores > headroom:
-                if blocked_min is None or vm.cores < blocked_min:
-                    blocked_min = vm.cores
                 survivors.append((vm, queued_at))
                 continue
             server = find(vm, allocation)
             if server is None:
-                # Packing failure: more budget cannot start this VM, so
-                # it does not contribute a power wake threshold.
                 survivors.append((vm, queued_at))
                 continue
             self._start(vm, server, step)
@@ -876,7 +809,6 @@ class Datacenter:
             record(step, EventKind.LAUNCH, vm.vm_id, vm.memory_bytes)
             n_launched += 1
         self._queue.extend(survivors)
-        self._launch_blocked_min_cores = blocked_min
         return in_bytes, n_launched, n_expired
 
     # ------------------------------------------------------------------
@@ -889,7 +821,6 @@ class Datacenter:
         budget: int,
         arrivals: Sequence[VM],
         cols: StepColumns,
-        batched: bool,
     ) -> None:
         """Execute one simulation step and record it columnar.
 
@@ -899,10 +830,7 @@ class Datacenter:
         """
         timers = self._phase_seconds
         if timers is None:
-            if batched:
-                n_completed = self._phase_completions_batched(step)
-            else:
-                n_completed = self._phase_completions(step)
+            n_completed = self._phase_completions(step)
             out_bytes, n_evicted, n_paused = self._phase_power_down(
                 step, budget
             )
@@ -915,10 +843,7 @@ class Datacenter:
             )
         else:
             t0 = perf_counter()
-            if batched:
-                n_completed = self._phase_completions_batched(step)
-            else:
-                n_completed = self._phase_completions(step)
+            n_completed = self._phase_completions(step)
             t1 = perf_counter()
             timers["completions"] += t1 - t0
             out_bytes, n_evicted, n_paused = self._phase_power_down(
@@ -963,36 +888,6 @@ class Datacenter:
             dtype=np.int64,
         )
 
-    def _launch_wake_threshold(self) -> int | None:
-        """Smallest core budget at which a queued VM could launch.
-
-        Derived from the last processed step: ``m`` is the smallest
-        core count among queued VMs that were blocked by power headroom
-        (packing-blocked VMs cannot be helped by budget growth, and the
-        pool only mutates at processed steps).  The budget must cover
-        both the power term (``running + m``) and, under power-relative
-        admission, the utilization cap ``int(util * budget) >=
-        allocated + m`` — inverted in closed form by
-        :func:`min_budget_for_cap`.
-        """
-        m = self._launch_blocked_min_cores
-        if m is None:
-            return None
-        admission = self.admission
-        util = admission.target_utilization
-        total = admission.total_cores
-        need = self._allocated_cores + m
-        if need > int(util * total):
-            # Even a fully-powered cluster cannot admit under the cap;
-            # only allocation shrinking (a completion or eviction — an
-            # event in itself) can unblock the queue.
-            return None
-        running_threshold = self._running_cores + m
-        if not self.config.power_relative_admission:
-            return running_threshold
-        budget = min_budget_for_cap(need, util, total)
-        return max(running_threshold, budget)
-
     def _run_dense(
         self,
         n: int,
@@ -1000,115 +895,16 @@ class Datacenter:
         arrivals_by_step: dict[int, list[VM]],
         cols: StepColumns,
     ) -> int:
-        """Reference engine: execute every grid step.
+        """The dense oracle: execute every grid step.
 
         Returns the number of steps processed (all of them).
         """
         budget_list = budgets.tolist()
         for step in range(n):
             self._step(
-                step,
-                budget_list[step],
-                arrivals_by_step.get(step, ()),
-                cols,
-                batched=False,
+                step, budget_list[step], arrivals_by_step.get(step, ()), cols
             )
         return n
-
-    def _run_event(
-        self,
-        n: int,
-        budgets: np.ndarray,
-        arrivals_by_step: dict[int, list[VM]],
-        cols: StepColumns,
-    ) -> int:
-        """Event-driven engine: wake only where state can change.
-
-        Wake sources: VM arrivals, the finish-step min-heap, the
-        queue-expiry min-heap, and the first step in the skipped window
-        where the precomputed budget series crosses a wake threshold
-        (below running cores, or at/above the resume or launch
-        thresholds).  Waking at a stale step is a harmless no-op;
-        skipping never drops work (see the wake-threshold proofs in the
-        module docstring), so skipped records are exact forward-fills.
-
-        Returns the number of wake steps actually processed; the
-        difference from ``n`` is the skipped-step count the run span
-        reports.  Wakes are counted in a local int — the loop allocates
-        nothing per step for observability.
-        """
-        processed = 0
-        patience = self.config.queue_patience_steps
-        arrival_steps = sorted(arrivals_by_step)
-        n_arrivals = len(arrival_steps)
-        arrival_index = 0
-        finish_heap = self._finish_heap
-        expiry_heap: list[int] = []
-        queue = self._queue
-        paused = self._paused
-        last = -1
-        while True:
-            nxt = n
-            if arrival_index < n_arrivals:
-                nxt = arrival_steps[arrival_index]
-            while finish_heap and finish_heap[0] <= last:
-                heappop(finish_heap)
-            if finish_heap and finish_heap[0] < nxt:
-                nxt = finish_heap[0]
-            while expiry_heap and expiry_heap[0] <= last:
-                heappop(expiry_heap)
-            if expiry_heap and expiry_heap[0] < nxt:
-                nxt = expiry_heap[0]
-            window_start = last + 1
-            if window_start < nxt:
-                running = self._running_cores
-                window = budgets[window_start:nxt]
-                wake = window < running if running > 0 else None
-                threshold = None
-                if paused:
-                    threshold = running + paused[0].cores
-                if queue:
-                    launch_threshold = self._launch_wake_threshold()
-                    if launch_threshold is not None and (
-                        threshold is None or launch_threshold < threshold
-                    ):
-                        threshold = launch_threshold
-                if threshold is not None:
-                    above = window >= threshold
-                    wake = above if wake is None else (wake | above)
-                if wake is not None:
-                    hit = int(np.argmax(wake))
-                    if wake[hit]:
-                        nxt = window_start + hit
-                if window_start < nxt:
-                    # Provably no-op span: forward-fill carried state
-                    # (counts and bytes are already zero).
-                    cols.running_cores[window_start:nxt] = running
-                    cols.allocated_cores[window_start:nxt] = (
-                        self._allocated_cores
-                    )
-                    cols.queue_length[window_start:nxt] = len(queue)
-            if nxt >= n:
-                return processed
-            step = nxt
-            if (
-                arrival_index < n_arrivals
-                and arrival_steps[arrival_index] == step
-            ):
-                arrivals: Sequence[VM] = arrivals_by_step[step]
-                arrival_index += 1
-            else:
-                arrivals = ()
-            self._step(step, int(budgets[step]), arrivals, cols, batched=True)
-            processed += 1
-            if queue and queue[-1][1] == step:
-                # VMs queued this step expire (REJECT) the first step
-                # their patience is exceeded; wake there even if power
-                # never recovers.
-                expiry = step + patience + 1
-                if expiry < n:
-                    heappush(expiry_heap, expiry)
-            last = step
 
     def _demand_cores(self, step: int, arrivals: Sequence[VM]) -> int:
         """Cores the site could productively power this step.
@@ -1149,15 +945,12 @@ class Datacenter:
         arrivals_by_step: dict[int, list[VM]],
         cols: StepColumns,
         dispatcher: SupplyDispatcher,
-        batched: bool,
     ) -> int:
-        """Closed-loop engine: dispatch the supply stack every step.
+        """The dense closed-loop oracle: dispatch the stack every step.
 
-        Battery SoC (and grid budget) evolve from every step's balance,
-        so no step is provably a no-op and the event engine's skip
-        machinery cannot apply — both engines execute all ``n`` steps
-        here, differing only in the (result-identical) batched
-        completion path.
+        Battery SoC (and grid budget) evolve from every step's balance;
+        the oracle never reasons about which of those steps are no-ops,
+        so it executes all ``n`` of them.
         """
         core_budget = self.power_model.core_budget
         norm_for_cores = self.power_model.norm_for_cores
@@ -1170,7 +963,7 @@ class Datacenter:
             budget = core_budget(delivered)
             cols.norm_power[step] = delivered
             cols.core_budget[step] = budget
-            self._step(step, budget, arrivals, cols, batched=batched)
+            self._step(step, budget, arrivals, cols)
         return n
 
     def _norm_bounds(
@@ -1206,14 +999,80 @@ class Datacenter:
         self._norm_bounds_cache[key] = bounds
         return bounds
 
-    def _run_closed_event(
-        self,
-        n: int,
-        site,
-        cols: StepColumns,
-        dispatcher: SupplyDispatcher,
-    ) -> int:
-        """Closed-loop event engine: skip windows the stack cannot touch.
+    def advance(self, state: EngineState, until: int) -> int:
+        """Execute a kernel-prepared run up to (not including) ``until``.
+
+        The single per-site stepping loop: a batch run is
+        ``advance(state, n)``, a session is repeated calls with a
+        growing ``until``, and the fleet's per-site closed-loop sites
+        call it once.  The cursor is
+        the kernel's :attr:`~repro.cluster.kernel.StepKernel.last` —
+        every step at or below it is final — and each call executes
+        ``[last + 1, until)`` then leaves ``last = until - 1``.  That is
+        safe because every event below ``until`` has been processed, so
+        the heap entries it strands are provably stale; splitting a run
+        into segments therefore changes no column, event-log entry, or
+        supply series value.
+
+        Open loop finds the segment's first wake — the next event or
+        the first budget-threshold crossing — with one scan, hands the
+        wake chain to :meth:`StepKernel.drain_block` with ``until`` as
+        the block end, and forward-fills the skipped steps.  Closed loop
+        runs :meth:`_closed_segment`.
+
+        Args:
+            state: A :meth:`prepare_run` state built with ``kernel=True``.
+            until: One past the last step to execute (clamped to the
+                grid).
+
+        Returns:
+            Wake steps processed in the segment (also added to
+            ``state.processed``).
+        """
+        kernel = state.kernel
+        start = kernel.last + 1
+        until = min(until, state.n)
+        if until <= start:
+            return 0
+        if state.closed:
+            processed = self._closed_segment(state, start, until)
+        else:
+            processed = self._open_segment(state, start, until)
+        kernel.last = until - 1
+        state.processed += processed
+        return processed
+
+    @staticmethod
+    def _open_segment(state: EngineState, start: int, until: int) -> int:
+        """The open-loop half of :meth:`advance`."""
+        kernel = state.kernel
+        budgets = state.budgets
+        wake = kernel.next_event()
+        running, upper = kernel.wake_bounds()
+        stop = wake if wake < until else until
+        if start < stop and (running or upper is not None):
+            window = budgets[start:stop]
+            if upper is None:
+                cross = window < running
+            elif running:
+                cross = (window < running) | (window >= upper)
+            else:
+                cross = window >= upper
+            hit = int(cross.argmax())
+            if cross[hit]:
+                wake = start + hit
+        processed: list[int] = []
+        if wake < until:
+            kernel.drain_block(wake, budgets, until, processed)
+        # Skipped steps carry the state of the last processed step; the
+        # step before the segment already holds it for the prefix.
+        steps = processed if start == 0 else [start - 1, *processed]
+        if steps:
+            state.cols.forward_fill(steps, until)
+        return len(processed)
+
+    def _closed_segment(self, state: EngineState, step: int, until: int) -> int:
+        """The closed-loop half of :meth:`advance`: skip pinned windows.
 
         Per-step dispatch is unavoidable while any component's state can
         move, but once the stack is *pinned* for a balance sign — every
@@ -1225,77 +1084,37 @@ class Datacenter:
         pinned for (demand is constant between events, so the sign
         series is precomputable), and (c) the window's would-be budget
         series never crosses an eviction / resume / launch wake
-        threshold (the open-loop event engine's scan, applied to the
-        reconstructed budgets).  Skipped steps get vectorized fills of
-        the step columns and the supply telemetry, bit-identical to
-        per-step dispatch (golden-tested against :meth:`_run_closed`).
+        threshold (the open-loop scan, applied to the reconstructed
+        budgets).  Skipped steps get vectorized fills of the step
+        columns and the supply telemetry, bit-identical to per-step
+        dispatch (golden-tested against :meth:`_run_closed`).
 
-        ``site`` is the cluster side of the loop behind a small wake
-        protocol — ``demand_at`` / ``step_wake`` / ``next_event`` /
-        ``window_demand`` / ``wake_bounds`` / ``carried_state`` — so the
-        same driver runs the object model (:class:`_ClosedEventSite`)
-        and the SoA kernel (:class:`~repro.cluster.kernel.StepKernel`)
-        unchanged.
+        Windows are clamped at ``until``; the next segment dispatches
+        its first step as a wake, which is harmless (a wake at a
+        provably no-op step changes nothing) and bit-identical (the
+        scalar dispatch, the span kernel, and the vectorized pinned
+        fill are pinned equal).
         """
-        return self.advance_closed_event(site, cols, dispatcher, 0, n)
-
-    def closed_span_precompute(
-        self, dispatcher: SupplyDispatcher
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Whole-run arrays the closed-loop window machinery commits.
-
-        A pinned window behaves open-loop: delivered is the base round
-        trip (modulo the rare covered-demand ulp clamp), so the
-        whole-run clip and budget series can be precomputed once and
-        windows commit views into them instead of recomputing.
-        Sessions advancing a run tick by tick cache the tuple across
-        :meth:`advance_closed_event` calls.
-        """
-        base_mw = dispatcher.base_mw_series()
-        rt_full = base_mw / dispatcher.capacity_mw
-        clipped_full = np.clip(rt_full, 0.0, 1.0)
-        budgets_full = self._budget_series(clipped_full)
-        return base_mw, rt_full, clipped_full, budgets_full
-
-    def advance_closed_event(
-        self,
-        site,
-        cols: StepColumns,
-        dispatcher: SupplyDispatcher,
-        step: int,
-        until: int,
-        precomp: tuple | None = None,
-    ) -> int:
-        """Run the closed-loop event engine over ``[step, until)``.
-
-        The resumable core of :meth:`_run_closed_event`: dispatches and
-        wakes exactly as the full run would, but halts once the cursor
-        reaches ``until`` (windows are clamped there).  Because a wake
-        at a provably no-op step is harmless and dispatching a pinned
-        or in-span step is bit-identical either way, splitting a run
-        into consecutive ``[step, until)`` segments produces columns,
-        event logs, and supply telemetry identical to one uninterrupted
-        call — the invariant checkpoint/resume sessions rely on.
-
-        Args:
-            site: Wake-protocol adapter (object model or SoA kernel).
-            cols: The run's column store.
-            dispatcher: The run's closed-loop supply dispatcher.
-            step: First step to process (0, or a previous ``until``).
-            until: One past the last step to process (≤ grid length).
-            precomp: Optional cached :meth:`closed_span_precompute`
-                tuple; recomputed when omitted.
-
-        Returns:
-            Wake steps dispatched within the segment.
-        """
+        site = state.kernel
+        cols = state.cols
+        dispatcher = state.dispatcher
+        if state.span_precompute is None:
+            # A pinned window behaves open-loop: delivered is the base
+            # round trip (modulo the rare covered-demand ulp clamp), so
+            # the whole-run clip and budget series are computed once
+            # and windows commit views into them.
+            base_mw = dispatcher.base_mw_series()
+            rt_full = base_mw / dispatcher.capacity_mw
+            clipped_full = np.clip(rt_full, 0.0, 1.0)
+            state.span_precompute = (
+                base_mw, rt_full, clipped_full,
+                self._budget_series(clipped_full),
+            )
+        base_mw, rt_full, clipped_full, budgets_full = state.span_precompute
         processed = 0
         core_budget = self.power_model.core_budget
         norm_for_cores = self.power_model.norm_for_cores
         dispatch = dispatcher.dispatch
-        if precomp is None:
-            precomp = self.closed_span_precompute(dispatcher)
-        base_mw, rt_full, clipped_full, budgets_full = precomp
         capacity = dispatcher.capacity_mw
         # A span-kernel crossing has already dispatched its step; the
         # delivered value is handed to the wake iteration via
@@ -1460,12 +1279,11 @@ class Datacenter:
     ) -> EngineState:
         """Build the per-run engine state :meth:`run` executes over.
 
-        Extracted so external engines — the cross-site
-        :class:`repro.sim.fleet.FleetEngine` — can prepare many sites
-        and interleave their wakes.  Materializes VM objects per
-        arrival step, resolves the supply mode (closed-loop dispatcher
-        vs open-loop precomputed delivery), and precomputes the budget
-        series and power columns for open-loop runs.
+        Extracted so sessions and the cross-site
+        :class:`repro.sim.fleet.FleetEngine` can prepare many sites and
+        drive them themselves.  Resolves the supply mode (closed-loop
+        dispatcher vs open-loop precomputed delivery) and precomputes
+        the budget series and power columns for open-loop runs.
 
         Args:
             requests: VM arrivals to replay.
@@ -1473,8 +1291,8 @@ class Datacenter:
                 passes views into one site-major block); allocated
                 fresh when omitted.
             kernel: Build a :class:`~repro.cluster.kernel.StepKernel`
-                over the requests instead of materializing VM objects
-                (``engine="soa"`` and fleet runs).
+                over the requests for :meth:`advance`; without it the
+                requests become ``VM`` objects for the dense oracle.
         """
         grid = self.power_trace.grid
         n = grid.n
@@ -1522,7 +1340,6 @@ class Datacenter:
             cols=cols,
             budgets=budgets,
             arrivals_by_step=arrivals_by_step,
-            arrival_steps=sorted(arrivals_by_step),
             n_requests=len(requests),
             closed=closed,
             dispatcher=dispatcher,
@@ -1571,85 +1388,6 @@ class Datacenter:
             supply=state.evaluation,
         )
 
-    # ------------------------------------------------------------------
-    # Wake-by-wake advancement (driven by the fleet engine)
-    # ------------------------------------------------------------------
-
-    def next_event_step(self, state: EngineState) -> int:
-        """Next arrival / finish / expiry at or after ``state.last + 1``.
-
-        Returns ``state.n`` when no further event is scheduled.  Pops
-        stale heap tops (spent finish buckets, past expiries) as the
-        open-loop event loop does.
-        """
-        nxt = state.n
-        if state.arrival_index < len(state.arrival_steps):
-            nxt = state.arrival_steps[state.arrival_index]
-        last = state.last
-        heap = self._finish_heap
-        while heap and heap[0] <= last:
-            heappop(heap)
-        if heap and heap[0] < nxt:
-            nxt = heap[0]
-        heap = state.expiry_heap
-        while heap and heap[0] <= last:
-            heappop(heap)
-        if heap and heap[0] < nxt:
-            nxt = heap[0]
-        return nxt
-
-    def wake_bounds(self) -> tuple[int, int | None]:
-        """Budget thresholds that make a skipped step impossible.
-
-        Returns ``(lower, upper)``: a budget *below* ``lower`` forces
-        evictions, one *at or above* ``upper`` can resume or launch
-        work (``None`` when neither resumes nor launches are possible).
-        Both derive from the state at the last processed step, exactly
-        like the window scan in :meth:`_run_event`.
-        """
-        running = self._running_cores
-        upper: int | None = None
-        if self._paused:
-            upper = running + self._paused[0].cores
-        if self._queue:
-            launch = self._launch_wake_threshold()
-            if launch is not None and (upper is None or launch < upper):
-                upper = launch
-        return running, upper
-
-    def process_wake(self, state: EngineState, step: int) -> None:
-        """Execute one wake step under the precomputed budget series.
-
-        The caller (fleet engine) is responsible for having filled the
-        forward-fill window ``(state.last, step)`` before advancing.
-        """
-        if (
-            state.arrival_index < len(state.arrival_steps)
-            and state.arrival_steps[state.arrival_index] == step
-        ):
-            arrivals: Sequence[VM] = state.arrivals_by_step[step]
-            state.arrival_index += 1
-        else:
-            arrivals = ()
-        self._step(
-            step, int(state.budgets[step]), arrivals, state.cols,
-            batched=True,
-        )
-        state.processed += 1
-        queue = self._queue
-        if queue and queue[-1][1] == step:
-            # VMs queued this step expire (REJECT) the first step their
-            # patience is exceeded; wake there even if power never
-            # recovers.
-            expiry = step + self.config.queue_patience_steps + 1
-            if expiry < state.n:
-                heappush(state.expiry_heap, expiry)
-        state.last = step
-
-    def carried_state(self) -> tuple[int, int, int]:
-        """(running, allocated, queue length) for forward-fill windows."""
-        return self._running_cores, self._allocated_cores, len(self._queue)
-
     def run(
         self, requests: Sequence[VMRequest], *, engine: str = "event"
     ) -> SimulationResult:
@@ -1657,120 +1395,37 @@ class Datacenter:
 
         Args:
             requests: VM arrivals to replay.
-            engine: ``"event"`` (default) skips provably no-op steps
-                over the object model; ``"dense"`` executes every grid
-                step; ``"soa"`` runs the event loop over the
+            engine: ``"event"`` (default) or its alias ``"soa"``: the
                 structure-of-arrays :class:`~repro.cluster.kernel.\
-StepKernel` instead of VM/Server objects.  All engines produce
-                identical results (enforced by the golden equivalence
-                tests).
+StepKernel` advanced by :meth:`advance`, skipping provably no-op
+                steps.  ``"dense"``: the object-model oracle, which
+                executes every grid step.  Both produce identical
+                results (enforced by the golden equivalence tests).
 
         Returns:
             Per-step records plus the full event log.
         """
-        if engine not in ("event", "dense", "soa"):
+        if engine not in ("event", "soa", "dense"):
             raise ConfigurationError(f"unknown simulation engine: {engine!r}")
-        state = self.prepare_run(requests, kernel=engine == "soa")
-        n = state.n
-        cols = state.cols
-        arrivals_by_step = state.arrivals_by_step
+        dense = engine == "dense"
+        state = self.prepare_run(requests, kernel=not dense)
         with obs.span(
             "datacenter.run",
             site=self.power_trace.name,
             engine=engine,
-            n_steps=n,
+            n_steps=state.n,
             n_requests=state.n_requests,
         ):
-            if state.closed:
-                if engine == "soa":
-                    state.processed = self._run_closed_event(
-                        n, state.kernel, cols, state.dispatcher
-                    )
-                elif engine == "event":
-                    state.processed = self._run_closed_event(
-                        n, _ClosedEventSite(self, state), cols,
-                        state.dispatcher,
-                    )
-                else:
-                    state.processed = self._run_closed(
-                        n, arrivals_by_step, cols, state.dispatcher,
-                        batched=False,
-                    )
-            elif engine == "soa":
-                state.processed = state.kernel.run_event(state.budgets)
-            elif engine == "dense":
-                state.processed = self._run_dense(
-                    n, state.budgets, arrivals_by_step, cols
+            if not dense:
+                self.advance(state, state.n)
+            elif state.closed:
+                state.processed = self._run_closed(
+                    state.n, state.arrivals_by_step, state.cols,
+                    state.dispatcher,
                 )
             else:
-                state.processed = self._run_event(
-                    n, state.budgets, arrivals_by_step, cols
+                state.processed = self._run_dense(
+                    state.n, state.budgets, state.arrivals_by_step,
+                    state.cols,
                 )
             return self.finish_run(state, engine)
-
-
-class _ClosedEventSite:
-    """Object-model side of the closed-loop wake protocol.
-
-    Adapts a :class:`Datacenter` plus its :class:`EngineState` (arrival
-    cursor, expiry heap) to the site interface
-    :meth:`Datacenter._run_closed_event` drives, mirroring what
-    :class:`~repro.cluster.kernel.StepKernel` implements natively.
-    """
-
-    __slots__ = ("dc", "state")
-
-    def __init__(self, dc: Datacenter, state: EngineState):
-        self.dc = dc
-        self.state = state
-
-    def demand_at(self, step: int) -> int:
-        """Demand at a wake step, including its unconsumed arrivals."""
-        state = self.state
-        if (
-            state.arrival_index < len(state.arrival_steps)
-            and state.arrival_steps[state.arrival_index] == step
-        ):
-            arrivals: Sequence[VM] = state.arrivals_by_step[step]
-        else:
-            arrivals = ()
-        return self.dc._demand_cores(step, arrivals)
-
-    def step_wake(self, step: int, budget: int) -> None:
-        """Consume the step's arrivals, execute it, push queue expiry."""
-        dc = self.dc
-        state = self.state
-        if (
-            state.arrival_index < len(state.arrival_steps)
-            and state.arrival_steps[state.arrival_index] == step
-        ):
-            arrivals: Sequence[VM] = state.arrivals_by_step[step]
-            state.arrival_index += 1
-        else:
-            arrivals = ()
-        dc._step(step, budget, arrivals, state.cols, batched=True)
-        queue = dc._queue
-        if queue and queue[-1][1] == step:
-            expiry = step + dc.config.queue_patience_steps + 1
-            if expiry < state.n:
-                heappush(state.expiry_heap, expiry)
-        state.last = step
-
-    def next_event(self) -> int:
-        """Next arrival / finish / expiry after the last wake."""
-        return self.dc.next_event_step(self.state)
-
-    def window_demand(self) -> int:
-        """Demand over an event-free window.
-
-        Step ``-1`` has no finish bucket and no arrivals — exactly the
-        window-start situation (a window whose first step had a finish
-        or arrival would have been a wake instead).
-        """
-        return self.dc._demand_cores(-1, ())
-
-    def wake_bounds(self) -> tuple[int, int | None]:
-        return self.dc.wake_bounds()
-
-    def carried_state(self) -> tuple[int, int, int]:
-        return self.dc.carried_state()

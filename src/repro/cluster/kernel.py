@@ -7,13 +7,13 @@ per-server state arrays instead of ``VM`` / ``Server`` object graphs.
 A VM is an index into parallel lists (cores, memory, lifetime, state
 code, hosting server, scheduled finish); a server is an index into
 free-core / free-memory arrays plus an insertion-ordered placement map.
-The object model stays untouched as the golden reference engine
-(``engine="event"`` / ``"dense"``), exactly the pattern those two
-engines already form with each other; the kernel is a third engine
-(``engine="soa"``) pinned result-identical — columns, event logs, and
-summaries — by the golden tests.
+The kernel is the only engine of every production run —
+``Datacenter.run(engine="event")`` (alias ``"soa"``), sessions, and the
+fleet — while the object model stays as the golden oracle
+(``engine="dense"``), pinned result-identical to the kernel — columns,
+event logs, and summaries — by the golden tests.
 
-Why it is faster than the object engines:
+Why it is faster than the object model:
 
 * **No attribute traffic.**  Every phase reads ``cores[i]`` out of a
   list instead of chasing ``vm.cores`` through a dataclass, and server
@@ -28,12 +28,12 @@ Why it is faster than the object engines:
   lap over all servers, and the persisted rotor lands on
   ``last_victim + 1`` in every terminating case — see
   :meth:`StepKernel._plan_power_down`).
-* **One engine surface.**  The kernel exposes the same wake-by-wake
-  protocol the fleet engine drives (``next_event`` / ``wake_bounds`` /
-  ``drain_block``), so cross-site runs batch its sites without
-  touching object state at all.
+* **One wake loop.**  The open-loop wake chain lives once, in
+  :meth:`StepKernel.drain_block`, driven by the fleet's block scans and
+  by ``Datacenter.advance``, whose closed loop uses the same
+  ``next_event`` / ``wake_bounds`` / ``step_wake`` protocol.
 
-Determinism notes mirrored from the object engines: free-core buckets
+Determinism notes mirrored from the object model: free-core buckets
 are id-sorted lists, victim ties resolve through the VM id exactly as
 the planner's sort keys do, completion deduplication keys on the VM id
 (duplicate ids in a request stream dedup identically), and pause events
@@ -47,8 +47,6 @@ from collections import deque
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import Sequence
-
-import numpy as np
 
 from ..workload import VMClass, VMRequest
 from .admission import min_budget_for_cap
@@ -91,7 +89,7 @@ class StepKernel:
         dc: The site whose configuration (and event log) this kernel
             executes under.
         requests: VM arrivals to replay (arrivals at or past the grid
-            end are dropped, as the object engine's ``prepare_run``
+            end are dropped, as the dense oracle's ``prepare_run``
             does).
         cols: The run's preallocated column store (possibly fleet row
             views).
@@ -188,7 +186,12 @@ class StepKernel:
         self.rotor = 0
         self.running_cores = 0
         self.allocated_cores = 0
+        # Smallest core count among queued VMs blocked by *power*
+        # headroom at the last processed step; None when every queued
+        # VM is blocked by packing (budget growth cannot help those).
         self.launch_blocked_min: int | None = None
+        # Every step at or below ``last`` is final; Datacenter.advance
+        # resumes from ``last + 1``.
         self.last = -1
 
     # ------------------------------------------------------------------
@@ -299,7 +302,7 @@ class StepKernel:
         vm_finish = self.vm_finish
         vm_ids = self.vm_ids
         # Same-step pause->resume can re-add a VM under its original
-        # finish step: dedup on the VM id, as the object engine does.
+        # finish step: dedup on the VM id, as the object model does.
         valid: list[int] = []
         seen: set[int] = set()
         for index in finished:
@@ -695,17 +698,29 @@ class StepKernel:
         cols.queue_length[step] = len(self.queue)
 
     # ------------------------------------------------------------------
-    # Wake-by-wake protocol (single-site loops + fleet engine)
+    # Wake-by-wake protocol (Datacenter.advance + fleet engine)
     # ------------------------------------------------------------------
 
     def _launch_wake_threshold(self) -> int | None:
-        """Smallest budget at which a queued VM could launch (see
-        :meth:`Datacenter._launch_wake_threshold`)."""
+        """Smallest core budget at which a queued VM could launch.
+
+        Derived from the last processed step: ``m`` is the smallest
+        core count among queued VMs that were blocked by power headroom
+        (packing-blocked VMs cannot be helped by budget growth, and the
+        pool only mutates at processed steps).  The budget must cover
+        both the power term (``running + m``) and, under power-relative
+        admission, the utilization cap ``int(util * budget) >=
+        allocated + m`` — inverted in closed form by
+        :func:`min_budget_for_cap`.
+        """
         m = self.launch_blocked_min
         if m is None:
             return None
         need = self.allocated_cores + m
         if need > self._static_cap:
+            # Even a fully-powered cluster cannot admit under the cap;
+            # only allocation shrinking (a completion or eviction — an
+            # event in itself) can unblock the queue.
             return None
         running_threshold = self.running_cores + m
         if not self.power_relative:
@@ -810,75 +825,7 @@ class StepKernel:
         return demand if demand < total else total
 
     # ------------------------------------------------------------------
-    # Single-site open-loop event engine
-    # ------------------------------------------------------------------
-
-    def run_event(self, budgets) -> int:
-        """Open-loop event loop over a precomputed budget series.
-
-        Mirrors :meth:`Datacenter._run_event` — same wake sources, same
-        forward-fills — over the SoA state.  Returns the number of
-        wake steps processed.
-        """
-        n = self.n
-        cols = self.cols
-        processed = 0
-        arrival_steps = self.arrival_steps
-        n_arrival_steps = len(arrival_steps)
-        finish_heap = self.finish_heap
-        expiry_heap = self.expiry_heap
-        queue = self.queue
-        paused = self.paused
-        vm_cores = self.vm_cores
-        last = -1
-        while True:
-            nxt = n
-            if self.arrival_index < n_arrival_steps:
-                nxt = arrival_steps[self.arrival_index]
-            while finish_heap and finish_heap[0] <= last:
-                heappop(finish_heap)
-            if finish_heap and finish_heap[0] < nxt:
-                nxt = finish_heap[0]
-            while expiry_heap and expiry_heap[0] <= last:
-                heappop(expiry_heap)
-            if expiry_heap and expiry_heap[0] < nxt:
-                nxt = expiry_heap[0]
-            window_start = last + 1
-            if window_start < nxt:
-                running = self.running_cores
-                window = budgets[window_start:nxt]
-                wake = window < running if running > 0 else None
-                threshold = None
-                if paused:
-                    threshold = running + vm_cores[paused[0]]
-                if queue:
-                    launch_threshold = self._launch_wake_threshold()
-                    if launch_threshold is not None and (
-                        threshold is None or launch_threshold < threshold
-                    ):
-                        threshold = launch_threshold
-                if threshold is not None:
-                    above = window >= threshold
-                    wake = above if wake is None else (wake | above)
-                if wake is not None:
-                    hit = int(np.argmax(wake))
-                    if wake[hit]:
-                        nxt = window_start + hit
-                if window_start < nxt:
-                    cols.running_cores[window_start:nxt] = running
-                    cols.allocated_cores[window_start:nxt] = (
-                        self.allocated_cores
-                    )
-                    cols.queue_length[window_start:nxt] = len(queue)
-            if nxt >= n:
-                self.last = last
-                return processed
-            self.step_wake(nxt, int(budgets[nxt]))
-            processed += 1
-            last = nxt
-
-    # ------------------------------------------------------------------
-    # Fleet drain (the cross-site engine's inner loop)
+    # The open-loop wake loop
     # ------------------------------------------------------------------
 
     def drain_block(
@@ -891,10 +838,11 @@ class StepKernel:
         """Process the chain of in-block wakes starting at ``step``.
 
         The fleet engine pops one ``(step, site)`` wake per site per
-        block; the site then drains every wake it can reach before
-        ``b1`` — arrivals, finishes, expiries, and budget-threshold
-        crossings rescanned over its own budget row — without
-        re-entering the shared heap.  Appends processed steps to
+        block, and ``Datacenter.advance`` passes a segment's first wake
+        with the segment end as ``b1``; the site then drains every wake
+        it can reach before ``b1`` — arrivals, finishes, expiries, and
+        budget-threshold crossings rescanned over its own budget row —
+        without returning to the caller.  Appends processed steps to
         ``processed`` and returns ``(next_wake, running, upper)`` where
         ``next_wake`` is the first event at or past ``b1`` (or ``n``)
         and the bounds are the site's wake thresholds after the chain.

@@ -29,13 +29,17 @@ DELETE    /sessions/{id}                     forget the session
 
     {"scenario": {...Scenario.to_dict()...},   # optional sections may
                                                # be omitted (defaults)
-     "engine": "event" | "soa",
+     "engine": "event" | "soa",                # two names for the one
+                                               # step-kernel path
      "session_id": "optional-id",
      "seed": 0,
      "record_events": true}
 
-Errors map to ``{"error": ...}`` with 400 (:class:`SessionError` /
-bad input), 404 (unknown session or route), or 405.
+Every session runs the step kernel; any ``engine`` other than the two
+names for it is a 400 (the dense object-model oracle is a test
+reference, not served).  Errors map to ``{"error": ...}`` with 400
+(:class:`SessionError` / bad input), 404 (unknown session or route),
+or 405.
 """
 
 from __future__ import annotations

@@ -2,31 +2,25 @@
 
 A :class:`SimSession` is the engine underneath the ``repro.serve``
 digital-twin API: one or many sites prepared through
-:meth:`~repro.cluster.Datacenter.prepare_run` and advanced *in bounded
-segments* instead of one shot — ``advance(n_steps)`` moves every site's
-event engine forward by a wall of grid steps, ``status()`` projects the
-partially-filled columns, and ``checkpoint()`` / :meth:`SimSession.
-restore` / ``fork()`` serialize the whole mid-flight state (engine
-cursors, VM object graph, supply-dispatcher lanes, partially-filled
-:class:`~repro.cluster.StepColumns`, the injection RNG) so an
-interrupted run resumes golden-identical to an uninterrupted one.
+:meth:`~repro.cluster.Datacenter.prepare_run` with a step kernel and
+advanced *in bounded segments* instead of one shot — ``advance(n_steps)``
+moves every site forward by a wall of grid steps through the same
+:meth:`~repro.cluster.Datacenter.advance` a batch run makes once,
+``status()`` projects the partially-filled columns, and
+``checkpoint()`` / :meth:`SimSession.restore` / ``fork()`` serialize
+the whole mid-flight state (kernel cursors and arrays, supply-dispatcher
+lanes, partially-filled :class:`~repro.cluster.StepColumns`, the
+injection RNG) so an interrupted run resumes golden-identical to an
+uninterrupted one.
 
-Why segmenting preserves bit-identity:
-
-* **Open loop.**  The bounded loop replays the event engine's exact
-  wake discovery (arrivals, finish heap, expiry heap, budget-crossing
-  scans) with windows clamped at the segment boundary.  Every live
-  event inside the segment is processed before the boundary, so heap
-  entries at or below it are provably stale; crossing scans depend only
-  on state that cannot change across a skipped window, so a scan split
-  at the boundary finds the same first hit.  Forward-fills commit the
-  same carried state either way.
-* **Closed loop.**  :meth:`~repro.cluster.Datacenter.
-  advance_closed_event` clamps dispatch windows at the boundary and
-  re-enters by dispatching the boundary step as a wake — harmless by
-  the engine's core invariant (a wake at a provably no-op step changes
-  nothing) and bit-identical because the scalar dispatch, the span
-  kernel, and the vectorized pinned fill are already pinned equal.
+Why segmenting preserves bit-identity: every event below a segment's
+end is processed before the boundary, so the heap entries it strands
+are provably stale; open-loop crossing scans depend only on state that
+cannot change across a skipped window, so a scan split at the boundary
+finds the same first hit; and the closed loop re-enters by dispatching
+the boundary step as a wake — harmless (a wake at a provably no-op step
+changes nothing) and bit-identical (the scalar dispatch, the span
+kernel, and the vectorized pinned fill are pinned equal).
 
 Failure/supply injections (:meth:`SimSession.inject`) queue until the
 next ``advance`` and are recorded in the append-only :attr:`audit` log,
@@ -42,7 +36,6 @@ import numpy as np
 
 from .. import obs
 from ..cluster import Datacenter, SimulationResult
-from ..cluster.datacenter import _ClosedEventSite
 from ..errors import SessionError
 from ..sim.fleet import FleetSite
 from ..supply.components import (
@@ -54,118 +47,30 @@ from ..supply.components import (
 __all__ = ["SimSession", "SessionError"]
 
 #: Version tag leading every checkpoint blob; bumped on layout changes.
-CHECKPOINT_FORMAT = "repro-session/1"
+CHECKPOINT_FORMAT = "repro-session/2"
 
 #: Injection kinds :meth:`SimSession.inject` accepts.
 INJECT_KINDS = ("battery_soc", "grid_budget", "blackout", "spot_price")
 
 
 class _SiteEngine:
-    """One site's bounded incremental event engine.
+    """One site's prepared run, advanced segment by segment.
 
-    Wraps a :class:`Datacenter` plus its prepared
-    :class:`~repro.cluster.EngineState` behind ``advance_to(until)``.
-    Both session engines drive the same wake protocol the batch
-    engines use — the object model through
-    :class:`~repro.cluster.datacenter._ClosedEventSite`, the SoA
-    :class:`~repro.cluster.kernel.StepKernel` natively.
+    Wraps a :class:`Datacenter` plus its kernel-prepared
+    :class:`~repro.cluster.EngineState`; :meth:`Datacenter.advance`
+    does the stepping and owns the cursor, so the injections below are
+    all this class adds.
     """
 
-    def __init__(self, name, datacenter, requests, engine):
+    def __init__(self, name, datacenter, requests):
         self.name = name
         self.dc = datacenter
-        self.engine = engine
-        self.state = datacenter.prepare_run(
-            requests, kernel=engine == "soa"
-        )
-        if engine == "soa":
-            self.site = self.state.kernel
-        else:
-            self.site = _ClosedEventSite(datacenter, self.state)
-        #: Next step not yet executed (== every step below is final).
-        self.cursor = 0
-        self._precomp = (
-            datacenter.closed_span_precompute(self.state.dispatcher)
-            if self.state.closed
-            else None
-        )
+        self.state = datacenter.prepare_run(requests, kernel=True)
 
-    # -- cursor plumbing over the two engine backends ------------------
-
-    def _last(self) -> int:
-        if self.engine == "soa":
-            return self.state.kernel.last
-        return self.state.last
-
-    def _set_last(self, step: int) -> None:
-        if self.engine == "soa":
-            self.state.kernel.last = step
-        else:
-            self.state.last = step
-
-    def carried(self) -> tuple[int, int, int]:
-        """(running, allocated, queue length) right now."""
-        return self.site.carried_state()
-
-    # -- bounded advance ----------------------------------------------
-
-    def advance_to(self, until: int) -> None:
-        """Execute steps ``[cursor, until)``; identical to one shot."""
-        until = min(until, self.state.n)
-        if until <= self.cursor:
-            return
-        if self.state.closed:
-            self.state.processed += self.dc.advance_closed_event(
-                self.site, self.state.cols, self.state.dispatcher,
-                self.cursor, until, self._precomp,
-            )
-        else:
-            self._advance_open(until)
-        self.cursor = until
-
-    def _advance_open(self, until: int) -> None:
-        """The open-loop event loop, clamped at ``until``.
-
-        Mirrors :meth:`Datacenter._run_event` /
-        :meth:`StepKernel.run_event` wake for wake; on hitting the
-        boundary the last-processed cursor moves to ``until - 1`` so a
-        later segment resumes with the identical window scan suffix.
-        """
-        state = self.state
-        site = self.site
-        budgets = state.budgets
-        cols = state.cols
-        last = self._last()
-        while True:
-            nxt = site.next_event()
-            window_start = last + 1
-            stop = nxt if nxt < until else until
-            if window_start < stop:
-                running, upper = site.wake_bounds()
-                window = budgets[window_start:stop]
-                wake = window < running if running > 0 else None
-                if upper is not None:
-                    above = window >= upper
-                    wake = above if wake is None else (wake | above)
-                hit_step = None
-                if wake is not None:
-                    hit = int(np.argmax(wake))
-                    if wake[hit]:
-                        hit_step = window_start + hit
-                fill_end = stop if hit_step is None else hit_step
-                if window_start < fill_end:
-                    run_c, alloc_c, qlen = site.carried_state()
-                    cols.running_cores[window_start:fill_end] = run_c
-                    cols.allocated_cores[window_start:fill_end] = alloc_c
-                    cols.queue_length[window_start:fill_end] = qlen
-                if hit_step is not None:
-                    nxt = hit_step
-            if nxt >= until:
-                self._set_last(until - 1)
-                return
-            site.step_wake(nxt, int(budgets[nxt]))
-            state.processed += 1
-            last = nxt
+    @property
+    def cursor(self) -> int:
+        """Next step not yet executed (every step below it is final)."""
+        return self.state.kernel.last + 1
 
     # -- injections ----------------------------------------------------
 
@@ -220,9 +125,9 @@ class _SiteEngine:
 
         Closed loop only: every :class:`PricedGridPower` component's
         price series mutates in place, the dispatcher's caches
-        invalidate, and the span precompute rebuilds, so threshold/dvb
-        policies see the shock from the next dispatch on.  Returns
-        priced components touched.
+        invalidate, and the cached span precompute is dropped (the next
+        advance rebuilds it), so threshold/dvb policies see the shock
+        from the next dispatch on.  Returns priced components touched.
         """
         state = self.state
         if not state.closed:
@@ -246,15 +151,15 @@ class _SiteEngine:
             touched += 1
         if touched:
             dispatcher.invalidate_base_cache()
-            self._precomp = self.dc.closed_span_precompute(dispatcher)
+            state.span_precompute = None
         return touched
 
     def blackout(self, start: int, stop: int) -> int:
         """Zero the site's power over ``[start, stop)``; returns width.
 
         Closed loop: the trace values themselves go dark (the
-        dispatcher's caches and the session's span precompute are
-        rebuilt), so batteries drain into the outage.  Open loop: the
+        dispatcher's caches and the cached span precompute are
+        dropped), so batteries drain into the outage.  Open loop: the
         precomputed delivered/budget series go dark directly.
         """
         state = self.state
@@ -264,9 +169,8 @@ class _SiteEngine:
             return 0
         if state.closed:
             self.dc.power_trace.values[start:stop] = 0.0
-            dispatcher = state.dispatcher
-            dispatcher.invalidate_base_cache()
-            self._precomp = self.dc.closed_span_precompute(dispatcher)
+            state.dispatcher.invalidate_base_cache()
+            state.span_precompute = None
         else:
             state.budgets[start:stop] = 0
             state.cols.norm_power[start:stop] = 0.0
@@ -283,9 +187,9 @@ class SimSession:
         sites: One :class:`~repro.sim.fleet.FleetSite` or a sequence of
             them.  Sites advance in lockstep; shorter grids simply
             finish earlier.
-        engine: ``"event"`` (object model, default) or ``"soa"`` (the
-            columnar step kernel).  Either is golden-identical to every
-            batch engine.
+        engine: ``"event"`` (default) or ``"soa"`` — two names for the
+            step-kernel path (the label rides along in status and
+            telemetry).  Golden-identical to every batch engine.
         record_events: Keep per-VM event logs (default on — sessions
             are interactive, the audit trail is the point).
         session_id: Label used in audit entries and ``obs`` spans.
@@ -327,7 +231,7 @@ class SimSession:
                 record_events=record_events,
             )
             self._sites.append(
-                _SiteEngine(site.name, datacenter, site.requests, engine)
+                _SiteEngine(site.name, datacenter, site.requests)
             )
         self.n = max(se.state.n for se in self._sites)
         self.step = 0
@@ -368,7 +272,7 @@ class SimSession:
         """
         sites = {}
         for se in self._sites:
-            running, allocated, qlen = se.carried()
+            running, allocated, qlen = se.state.kernel.carried_state()
             cols = se.state.cols
             entry = {
                 "step": se.cursor,
@@ -449,7 +353,7 @@ class SimSession:
         ):
             self._apply_pending()
             for se in self._sites:
-                se.advance_to(target)
+                se.dc.advance(se.state, target)
             advanced = target - self.step
             self.step = target
         self._audit("advance", requested=n_steps, advanced=advanced)
@@ -594,12 +498,12 @@ class SimSession:
     def checkpoint(self) -> bytes:
         """Serialize the entire mid-flight session to bytes.
 
-        One pickle of the live object graph — engine states, VM
-        objects (with their aliasing across queue/pool/finish buckets
-        intact), supply-dispatcher lanes, partially-filled columns,
-        event logs, RNG, audit log — behind a versioned envelope.  A
-        session restored from the blob (same process or another one)
-        continues bit-identically.
+        One pickle of the live object graph — engine states and step
+        kernels (with the trace aliased between datacenter and
+        dispatcher intact), supply-dispatcher lanes, partially-filled
+        columns, event logs, RNG, audit log — behind a versioned
+        envelope.  A session restored from the blob (same process or
+        another one) continues bit-identically.
         """
         self._audit("checkpoint")
         return pickle.dumps(

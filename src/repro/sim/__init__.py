@@ -9,11 +9,7 @@ flatten spikes).
 """
 
 from .engine import ExecutionResult, SiteExecution, execute_placement
-from .detailed import (
-    DetailedResult,
-    DetailedSiteRecord,
-    execute_placement_detailed,
-)
+from .detailed import DetailedResult, DetailedSiteRecord
 from .facade import simulate
 from .fleet import FleetEngine, FleetSite
 from .results import (
@@ -29,7 +25,6 @@ __all__ = [
     "execute_placement",
     "DetailedResult",
     "DetailedSiteRecord",
-    "execute_placement_detailed",
     "FleetEngine",
     "FleetSite",
     "PolicyComparison",

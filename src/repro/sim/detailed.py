@@ -310,7 +310,7 @@ def _norm_covering_cores(cores: int, total_cores: int) -> float:
     return norm
 
 
-def _execute_placement_detailed(
+def _replay_placement(
     problem: SchedulingProblem,
     placement: Placement,
     actual_traces: Mapping[str, PowerTrace],
@@ -711,21 +711,3 @@ def _execute_placement_detailed(
         supply=evaluations or None,
     )
 
-
-def execute_placement_detailed(*args, **kwargs) -> DetailedResult:
-    """Deprecated alias — route through :func:`repro.sim.simulate`.
-
-    ``simulate(problem, placement, actual_traces, ...)`` dispatches by
-    input shape to the same engine; this name survives as a shim for
-    existing callers and will eventually be removed.
-    """
-    import warnings
-
-    warnings.warn(
-        "execute_placement_detailed() is deprecated; call"
-        " repro.sim.simulate(problem, placement, actual_traces, ...)"
-        " instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _execute_placement_detailed(*args, **kwargs)

@@ -1,11 +1,11 @@
 """One front door for every simulation engine: :func:`simulate`.
 
-The repo grew three ways to run the same physics — single-site
+Three ways run the same physics — single-site
 :meth:`~repro.cluster.Datacenter.run`, the columnar cross-site
-:class:`~repro.sim.fleet.FleetEngine`, and the placement-replay
-``execute_placement_detailed`` — each with its own calling convention.
-:func:`simulate` routes by the shape of its first argument(s) so
-callers say *what* to simulate and the facade picks the engine:
+:class:`~repro.sim.fleet.FleetEngine`, and the multi-site placement
+replay of :mod:`repro.sim.detailed` — and :func:`simulate` routes by
+the shape of its first argument(s) so callers say *what* to simulate
+and the facade picks the engine:
 
 =============================================  =========================
 Input shape                                    Engine
@@ -16,9 +16,10 @@ Input shape                                    Engine
 ``simulate(problem, placement, traces)``       detailed placement replay
 =============================================  =========================
 
-All routes produce the engines' existing result types unchanged (the
-golden equivalence guarantees are between engines, not calling
-conventions), so migrating a call site is a pure rename.
+Datacenters and fleets run on the step kernel (``engine="event"`` and
+``"soa"`` are two names for it); ``engine="dense"`` selects the
+object-model oracle where a route has one.  All routes return the
+engines' native result types.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 from ..cluster import Datacenter, SimulationResult
 from ..errors import ConfigurationError
 from ..sched import Placement, SchedulingProblem
-from .detailed import DetailedResult, _execute_placement_detailed
+from .detailed import DetailedResult, _replay_placement
 from .fleet import FleetEngine, FleetSite
 
 __all__ = ["simulate"]
@@ -51,9 +52,10 @@ def simulate(
             :class:`~repro.sched.Placement` and the actual traces as
             the second and third arguments).
         engine: Engine variant where the route supports one
-            (``"event"`` / ``"dense"`` / ``"soa"`` for datacenters;
-            ``"event"`` / ``"dense"`` for placement replay; fleet runs
-            are inherently columnar and ignore it).
+            (``"event"`` / ``"soa"`` — the step kernel — or the
+            ``"dense"`` oracle for datacenters; ``"event"`` /
+            ``"dense"`` for placement replay; fleet runs are inherently
+            columnar and ignore it).
         record_events: Keep per-VM event logs on fleet runs (single
             datacenters record events per their own construction flag).
         **kwargs: Route-specific options passed through (for placement
@@ -97,7 +99,7 @@ def simulate(
                 "simulate(problem, ...) expects (Placement,"
                 " {site: PowerTrace})"
             )
-        return _execute_placement_detailed(
+        return _replay_placement(
             target, placement, actual_traces, engine=engine, **kwargs
         )
     if isinstance(target, Sequence) and not isinstance(

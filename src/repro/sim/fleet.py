@@ -34,7 +34,7 @@ one program**:
   site is popped.
 
 * **Block synchronization.**  The 2D crossing scans cover blocks of
-  ``block_steps`` grid steps; a site that processes a wake rescans only
+  :data:`BLOCK_STEPS` grid steps; a site that processes a wake rescans only
   its own remaining block row (1D) under its updated thresholds, and
   sites untouched by a block cost one row of the shared comparison.
 
@@ -51,15 +51,15 @@ one program**:
   :class:`~repro.supply.batch.BatchedDispatch`, one ``(S,)``-shaped
   battery/grid update per step, with only wake steps (arrival, finish,
   expiry, or a delivered-power threshold crossing) touching a site's
-  step kernel.  Groups below ``closed_batch_min_sites`` — where S
+  step kernel.  Groups below :data:`CLOSED_BATCH_MIN_SITES` — where S
   scalar span kernels beat one array program — and stacks with exotic
-  component types run the per-site skip-ahead closed-loop event engine
-  instead, inside the same fleet run.
+  component types run the per-site skip-ahead closed loop of
+  :meth:`Datacenter.advance` instead, inside the same fleet run.
 
-The per-site engines share every line of phase logic with the fleet
+``Datacenter.advance`` shares every line of phase logic with the fleet
 path (the same kernels, the same dispatch arithmetic), and the golden
 tests pin fleet output bit-identical (records and summaries) to N
-independent ``Datacenter.run`` calls.
+independent ``Datacenter.run`` calls, the dense oracle included.
 
 By default fleet sites skip the per-VM event log
 (``record_events=False``): at 500 sites × 1 year the audit trail is
@@ -93,6 +93,15 @@ from ..workload import VMRequest
 # the corresponding comparison off without branching.
 _NO_LOWER = -(2**62)
 _NO_UPPER = 2**62
+
+#: Grid steps covered by each shared open-loop crossing scan.
+BLOCK_STEPS = 4096
+
+#: Smallest same-length closed-loop group advanced through the batched
+#: lockstep dispatcher; smaller groups run site by site through the
+#: span kernel of ``Datacenter.advance``, which wins while per-step
+#: numpy overhead outweighs the batching.
+CLOSED_BATCH_MIN_SITES = 16
 
 
 def crossing_scan(
@@ -162,11 +171,6 @@ class FleetEngine:
             grouped by grid length for the shared budget matrix).
         record_events: Keep each site's per-VM event log.  Off by
             default — fleet runs record per-step columns only.
-        block_steps: Grid steps covered by each shared crossing scan.
-        closed_batch_min_sites: Smallest same-length closed-loop group
-            advanced through the batched lockstep dispatcher; smaller
-            groups run the per-site span-kernel engine, which wins
-            while per-step numpy overhead outweighs the batching.
     """
 
     def __init__(
@@ -174,27 +178,14 @@ class FleetEngine:
         sites: Sequence[FleetSite],
         *,
         record_events: bool = False,
-        block_steps: int = 4096,
-        closed_batch_min_sites: int = 16,
     ):
         if not sites:
             raise ConfigurationError("fleet needs at least one site")
-        if block_steps <= 0:
-            raise ConfigurationError(
-                f"block size must be positive: {block_steps}"
-            )
-        if closed_batch_min_sites <= 0:
-            raise ConfigurationError(
-                "closed batch threshold must be positive:"
-                f" {closed_batch_min_sites}"
-            )
         names = [s.name for s in sites]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate site names: {names}")
         self.sites = tuple(sites)
         self.record_events = record_events
-        self.block_steps = block_steps
-        self.closed_batch_min_sites = closed_batch_min_sites
 
     # ------------------------------------------------------------------
 
@@ -202,8 +193,8 @@ class FleetEngine:
         """Execute every site; returns results keyed by site name.
 
         Result-identical to running each site's :meth:`Datacenter.run`
-        with ``engine="event"`` independently (records, summaries, and
-        supply telemetry — golden-tested).
+        independently, on any engine (records, summaries, and supply
+        telemetry — golden-tested against the dense oracle).
         """
         datacenters = [
             Datacenter(
@@ -257,7 +248,7 @@ class FleetEngine:
             # their budgets cannot enter the shared matrix.  Large
             # same-length groups with batchable stacks advance in
             # lockstep through one vectorized dispatcher; the rest run
-            # the per-site skip-ahead closed-loop event engine.
+            # the per-site skip-ahead closed loop of Datacenter.advance.
             closed_by_length: dict[int, list[_SiteRun]] = {}
             for run in closed:
                 closed_by_length.setdefault(run.state.n, []).append(run)
@@ -269,19 +260,14 @@ class FleetEngine:
                         batchable.append(run)
                     else:
                         solo.append(run)
-                if n and len(batchable) >= self.closed_batch_min_sites:
+                if n and len(batchable) >= CLOSED_BATCH_MIN_SITES:
                     self._run_closed_group(n, batchable)
                     for run in batchable:
                         run.state.processed = len(run.processed_steps)
                 else:
                     solo = batchable + solo
                 for run in solo:
-                    run.state.processed = run.datacenter._run_closed_event(
-                        run.state.n,
-                        run.state.kernel,
-                        run.state.cols,
-                        run.state.dispatcher,
-                    )
+                    run.datacenter.advance(run.state, run.state.n)
             # Open-loop sites share one columnar program per grid
             # length (budget rows must be the same width to stack).
             by_length: dict[int, list[_SiteRun]] = {}
@@ -307,7 +293,7 @@ class FleetEngine:
         budgets = np.vstack([r.state.budgets for r in group])
         heap: list[tuple[int, int]] = []  # (step, group index)
         live = list(range(len(group)))
-        block = self.block_steps
+        block = BLOCK_STEPS
         b0 = 0
         while b0 < n and live:
             b1 = min(b0 + block, n)
@@ -430,24 +416,11 @@ class FleetEngine:
         """Forward-fill every skipped step from the processed ones.
 
         A skipped step carries the state of the last processed step —
-        which the step kernel already wrote into its own column slot —
-        so the fill is ``np.repeat`` of the processed steps' values
-        over the gaps up to the next processed step.  Steps before the
-        first wake keep the zero initialization (nothing admitted or
-        running yet), matching the per-site engine's initial-state
-        fill.
+        which the step kernel already wrote into its own column slot
+        (:meth:`StepColumns.forward_fill`).  Steps before the first
+        wake keep the zero initialization (nothing admitted or running
+        yet), matching a per-site run's initial state.
         """
         for run in group:
-            proc = run.processed_steps
-            if not proc:
-                continue
-            idx = np.array(proc)
-            lengths = np.diff(np.append(idx, n))
-            cols = run.state.cols
-            first = proc[0]
-            for column in (
-                cols.running_cores,
-                cols.allocated_cores,
-                cols.queue_length,
-            ):
-                column[first:] = np.repeat(column[idx], lengths)
+            if run.processed_steps:
+                run.state.cols.forward_fill(run.processed_steps, n)

@@ -18,7 +18,7 @@ from repro.sched import (
     SiteCapacity,
     problem_from_forecasts,
 )
-from repro.sim import execute_placement, execute_placement_detailed
+from repro.sim import execute_placement, simulate
 from repro.traces import PowerTrace, synthesize_catalog_traces
 from repro.traces import default_european_catalog
 from repro.units import TimeGrid
@@ -77,8 +77,8 @@ class TestDetailedExecution:
             [1.0] * 6, [1.0] * 6, [make_app()]
         )
         placement = Placement({0: {"a": 10, "b": 0}})
-        result = execute_placement_detailed(
-            problem, placement, traces, CLUSTER
+        result = simulate(
+            problem, placement, traces, cluster=CLUSTER
         )
         assert result.total_transfer_gb() == 0.0
         assert result.homeless_vm_steps == 0
@@ -89,8 +89,8 @@ class TestDetailedExecution:
             values_a, [1.0] * 6, [make_app(stable=1.0)]
         )
         placement = Placement({0: {"a": 10, "b": 0}})
-        result = execute_placement_detailed(
-            problem, placement, traces, CLUSTER
+        result = simulate(
+            problem, placement, traces, cluster=CLUSTER
         )
         # All 10 VMs (20 cores, 80 GiB) leave a at step 2 and land at b.
         out_a = result.out_bytes_series("a")
@@ -105,8 +105,8 @@ class TestDetailedExecution:
             values_a, [1.0] * 6, [make_app(stable=0.0)]
         )
         placement = Placement({0: {"a": 10, "b": 0}})
-        result = execute_placement_detailed(
-            problem, placement, traces, CLUSTER
+        result = simulate(
+            problem, placement, traces, cluster=CLUSTER
         )
         assert result.total_transfer_gb() == 0.0
         records_a = result.records["a"]
@@ -120,8 +120,8 @@ class TestDetailedExecution:
             values, values, [make_app(stable=1.0)]
         )
         placement = Placement({0: {"a": 10, "b": 0}})
-        result = execute_placement_detailed(
-            problem, placement, traces, CLUSTER
+        result = simulate(
+            problem, placement, traces, cluster=CLUSTER
         )
         assert result.homeless_vm_steps > 0
 
@@ -131,8 +131,8 @@ class TestDetailedExecution:
         )
         placement = Placement({0: {"a": 10, "b": 0}})
         with pytest.raises(SchedulingError):
-            execute_placement_detailed(
-                problem, placement, {"a": traces["a"]}, CLUSTER
+            simulate(
+                problem, placement, {"a": traces["a"]}, cluster=CLUSTER
             )
 
     def test_wrong_length_trace_rejected(self):
@@ -142,9 +142,9 @@ class TestDetailedExecution:
         placement = Placement({0: {"a": 10, "b": 0}})
         short = trace_from([1.0] * 3, "a")
         with pytest.raises(SchedulingError):
-            execute_placement_detailed(
+            simulate(
                 problem, placement, {"a": short, "b": traces["b"]},
-                CLUSTER,
+                cluster=CLUSTER,
             )
 
     def test_running_cores_never_exceed_budget(self):
@@ -161,8 +161,8 @@ class TestDetailedExecution:
         placement = Placement(
             {app.app_id: {"a": 4, "b": 4} for app in apps}
         )
-        result = execute_placement_detailed(
-            problem, placement, traces, CLUSTER
+        result = simulate(
+            problem, placement, traces, cluster=CLUSTER
         )
         for name in ("a", "b"):
             for record in result.records[name]:
@@ -193,9 +193,9 @@ class TestFluidAgreement:
             for name in traces
         }
         fluid = execute_placement(problem, placement, actual)
-        detailed = execute_placement_detailed(
+        detailed = simulate(
             problem, placement, traces,
-            ClusterSpec(n_servers=100, server=ServerSpec(cores=40)),
+            cluster=ClusterSpec(n_servers=100, server=ServerSpec(cores=40)),
         )
         fluid_gb = fluid.total_transfer_gb()
         detailed_gb = detailed.total_transfer_gb()

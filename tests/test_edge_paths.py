@@ -22,7 +22,7 @@ from repro.cluster import (
 )
 from repro.forecast import ClimatologyForecaster, NoisyOracleForecaster
 from repro.sched import Placement, SchedulingProblem, SiteCapacity
-from repro.sim import execute_placement_detailed
+from repro.sim import simulate
 from repro.traces import PowerTrace
 from repro.units import TimeGrid
 from repro.workload import Application, VMClass, VMRequest, VMType
@@ -109,8 +109,8 @@ class TestDetailedExecutorEdges:
             "lit": PowerTrace(grid, np.ones(n), "lit", "wind"),
         }
         cluster = ClusterSpec(n_servers=10, server=ServerSpec(cores=40))
-        result = execute_placement_detailed(
-            problem, placement, traces, cluster
+        result = simulate(
+            problem, placement, traces, cluster=cluster
         )
         # VMs never started at dark, so landing at lit is a fresh
         # start (no migration bytes), but they must run somewhere.

@@ -1,9 +1,9 @@
 """Golden equivalence tests for the event-driven simulation engines and
 the vectorized MIP assembly.
 
-The event-driven single-site engine, the event-driven detailed executor,
-and the vectorized constraint assembly each have a dense/loop reference
-implementation sharing the same code paths; these tests pin them
+The single-site step-kernel path (``engine="event"``), the event-driven
+detailed executor, and the vectorized constraint assembly each have a
+dense/loop reference implementation; these tests pin them
 result-identical across workload shapes, power models, eviction orders,
 and pathological budget traces.
 """
@@ -31,7 +31,7 @@ from repro.sched import (
     SiteCapacity,
 )
 from repro.sched.mip import _Layout, _assemble, _assemble_reference
-from repro.sim import execute_placement_detailed
+from repro.sim import simulate
 from repro.traces import PowerTrace
 from repro.units import TimeGrid
 from repro.workload import Application, VMClass, VMRequest, VMType
@@ -317,12 +317,12 @@ class TestDetailedEngineEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_scenarios(self, seed):
         problem, placement, traces = detailed_scenario(seed)
-        dense = execute_placement_detailed(
-            problem, placement, traces, DETAILED_CLUSTER, engine="dense"
+        dense = simulate(
+            problem, placement, traces, cluster=DETAILED_CLUSTER, engine="dense"
         )
         problem, placement, traces = detailed_scenario(seed)
-        event = execute_placement_detailed(
-            problem, placement, traces, DETAILED_CLUSTER, engine="event"
+        event = simulate(
+            problem, placement, traces, cluster=DETAILED_CLUSTER, engine="event"
         )
         assert dense.records == event.records
         assert dense.homeless_vm_steps == event.homeless_vm_steps
@@ -337,13 +337,13 @@ class TestDetailedEngineEquivalence:
     )
     def test_eviction_orders(self, order):
         problem, placement, traces = detailed_scenario(2)
-        dense = execute_placement_detailed(
-            problem, placement, traces, DETAILED_CLUSTER,
+        dense = simulate(
+            problem, placement, traces, cluster=DETAILED_CLUSTER,
             engine="dense", eviction_order=order,
         )
         problem, placement, traces = detailed_scenario(2)
-        event = execute_placement_detailed(
-            problem, placement, traces, DETAILED_CLUSTER,
+        event = simulate(
+            problem, placement, traces, cluster=DETAILED_CLUSTER,
             engine="event", eviction_order=order,
         )
         assert dense.records == event.records
@@ -354,8 +354,8 @@ class TestDetailedEngineEquivalence:
         resumes them when power returns; both engines must agree on
         every pause/resume count."""
         problem, placement, traces = detailed_scenario(3)
-        result = execute_placement_detailed(
-            problem, placement, traces, DETAILED_CLUSTER
+        result = simulate(
+            problem, placement, traces, cluster=DETAILED_CLUSTER
         )
         paused = sum(
             int(result.columns[name].n_paused.sum())
@@ -370,8 +370,8 @@ class TestDetailedEngineEquivalence:
 
     def test_series_cached_and_records_lazy(self):
         problem, placement, traces = detailed_scenario(4)
-        result = execute_placement_detailed(
-            problem, placement, traces, DETAILED_CLUSTER
+        result = simulate(
+            problem, placement, traces, cluster=DETAILED_CLUSTER
         )
         name = result.site_names[0]
         assert result.out_bytes_series(name) is result.out_bytes_series(name)
@@ -385,8 +385,8 @@ class TestDetailedEngineEquivalence:
     def test_unknown_engine_rejected(self):
         problem, placement, traces = detailed_scenario(5, n=60)
         with pytest.raises(ConfigurationError):
-            execute_placement_detailed(
-                problem, placement, traces, DETAILED_CLUSTER, engine="warp"
+            simulate(
+                problem, placement, traces, cluster=DETAILED_CLUSTER, engine="warp"
             )
 
 

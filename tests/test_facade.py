@@ -1,14 +1,10 @@
 """Tests for the unified simulate() facade (repro.sim.facade).
 
 Routing is by input shape; every route must hand back the underlying
-engine's native result unchanged, and the legacy entry point survives
-only as a deprecation shim over the same implementation.
+engine's native result unchanged.
 """
 
 from __future__ import annotations
-
-import contextlib
-import warnings
 
 import pytest
 
@@ -19,14 +15,6 @@ from repro import simulate
 from repro.cluster import Datacenter
 from repro.errors import ConfigurationError
 from repro.sched import Placement
-from repro.sim import execute_placement_detailed
-
-
-@contextlib.contextmanager
-def warnings_ignored():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        yield
 
 
 class TestRouting:
@@ -44,9 +32,7 @@ class TestRouting:
             Datacenter(site.config, site.trace), site.requests,
             engine="soa",
         )
-        assert got.summary_dict() == reference_run(
-            site, engine="soa"
-        ).summary_dict()
+        assert got.summary_dict() == reference_run(site).summary_dict()
 
     def test_single_fleet_site_route(self):
         site = make_site(3, 600, 150)
@@ -70,10 +56,7 @@ class TestRouting:
         )
         placement = Placement({0: {"a": 10, "b": 0}})
         got = simulate(problem, placement, traces)
-        with warnings_ignored():
-            want = execute_placement_detailed(
-                problem, placement, traces
-            )
+        want = simulate(problem, placement, traces, engine="dense")
         assert got.summary_dict() == want.summary_dict()
         with pytest.raises(ConfigurationError):
             simulate(problem, placement)
@@ -93,11 +76,3 @@ class TestRouting:
                 make_site(7, 100, 10).trace,
             ))
 
-
-class TestDeprecatedShim:
-    def test_execute_placement_detailed_warns_and_delegates(self):
-        # The shim must warn before touching its arguments, so invalid
-        # inputs still surface the deprecation first.
-        with pytest.warns(DeprecationWarning, match="simulate"):
-            with pytest.raises(Exception):
-                execute_placement_detailed(None, None, {})

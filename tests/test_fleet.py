@@ -26,9 +26,9 @@ from repro.experiments import (
     run_scenario,
     run_scenarios,
 )
-from repro.errors import ConfigurationError
 from repro.experiments.cache import load_shared_traces, stage_shared_traces
 from repro.sim import FleetEngine, FleetSite
+from repro.sim import fleet as fleet_module
 from repro.sim.fleet import _NO_LOWER, _NO_UPPER, crossing_scan
 from repro.supply import SupplyStack
 from repro.supply.components import BatteryDispatch, GridFirmPower
@@ -130,8 +130,9 @@ def battery_grid_stack() -> SupplyStack:
     )
 
 
-def reference_run(site: FleetSite, engine: str = "event"):
-    """The per-site ground truth: one independent Datacenter.run."""
+def reference_run(site: FleetSite, engine: str = "dense"):
+    """The per-site ground truth: one independent Datacenter.run on the
+    dense object-model oracle unless ``engine`` says otherwise."""
     return Datacenter(
         site.config,
         site.trace,
@@ -469,11 +470,17 @@ class TestBatchedClosedFleet:
     Heterogeneous stacks (battery-only, grid-only, battery+grid, and
     empty/open sites mixed in) across fleet sizes: forcing every
     closed group through :class:`~repro.supply.batch.BatchedDispatch`
-    (``closed_batch_min_sites=1``) must be bitwise identical to
-    forcing every site through the per-site span-kernel engine.
+    (``CLOSED_BATCH_MIN_SITES = 1``) must be bitwise identical to
+    forcing every site through the per-site span-kernel path.
     """
 
     STACKS = (battery_stack, grid_stack, battery_grid_stack, None)
+
+    @staticmethod
+    def run_fleet(monkeypatch, sites, min_sites, **kwargs):
+        """One fleet run with the batched-path size threshold forced."""
+        monkeypatch.setattr(fleet_module, "CLOSED_BATCH_MIN_SITES", min_sites)
+        return FleetEngine(sites, **kwargs).run()
 
     def heterogeneous_fleet(self, n_sites: int, n: int) -> list[FleetSite]:
         sites = []
@@ -493,33 +500,29 @@ class TestBatchedClosedFleet:
         return sites
 
     @pytest.mark.parametrize("n_sites", [1, 8, 64])
-    def test_batched_matches_per_site_bitwise(self, n_sites):
+    def test_batched_matches_per_site_bitwise(self, n_sites, monkeypatch):
         n = 1200 if n_sites <= 8 else 500
         sites = self.heterogeneous_fleet(n_sites, n)
-        batched = FleetEngine(
-            sites, record_events=True, closed_batch_min_sites=1
-        ).run()
-        per_site = FleetEngine(
-            sites, record_events=True, closed_batch_min_sites=10**9
-        ).run()
+        batched = self.run_fleet(monkeypatch, sites, 1, record_events=True)
+        per_site = self.run_fleet(
+            monkeypatch, sites, 10**9, record_events=True
+        )
         for site in sites:
             assert_identical(
                 site.name, batched[site.name], per_site[site.name],
                 events=True,
             )
 
-    def test_batched_matches_independent_runs(self):
+    def test_batched_matches_independent_runs(self, monkeypatch):
         sites = self.heterogeneous_fleet(8, 1200)
-        batched = FleetEngine(
-            sites, record_events=True, closed_batch_min_sites=1
-        ).run()
+        batched = self.run_fleet(monkeypatch, sites, 1, record_events=True)
         for site in sites:
             assert_identical(
                 site.name, batched[site.name], reference_run(site),
                 events=True,
             )
 
-    def test_default_threshold_routes_large_groups(self):
+    def test_default_threshold_routes_large_groups(self, monkeypatch):
         # 16 battery sites of one length: the default threshold admits
         # them to the batched path, and results still match per-site.
         sites = [
@@ -530,14 +533,10 @@ class TestBatchedClosedFleet:
             )
             for i in range(16)
         ]
+        assert len(sites) >= fleet_module.CLOSED_BATCH_MIN_SITES
         batched = FleetEngine(sites).run()
-        per_site = FleetEngine(sites, closed_batch_min_sites=10**9).run()
+        per_site = self.run_fleet(monkeypatch, sites, 10**9)
         for site in sites:
             assert_identical(
                 site.name, batched[site.name], per_site[site.name]
             )
-
-    def test_threshold_validation(self):
-        sites = [make_site(1, 100, 10)]
-        with pytest.raises(ConfigurationError):
-            FleetEngine(sites, closed_batch_min_sites=0)

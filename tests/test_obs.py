@@ -20,7 +20,7 @@ from repro.experiments import (
     WorkloadSpec,
     run_scenario,
 )
-from repro.sim import SUMMARY_SCHEMA, execute_placement_detailed
+from repro.sim import SUMMARY_SCHEMA, simulate
 from repro.units import TimeGrid, grid_days
 
 START = datetime(2015, 5, 1)
@@ -320,7 +320,7 @@ class TestUnifiedAPI:
     def test_summary_schema_shared_across_result_classes(self):
         vm_result = run_scenario(vm_scenario(), use_cache=False)
         apps_result = run_scenario(apps_scenario(), use_cache=False)
-        detailed = execute_placement_detailed(
+        detailed = simulate(
             apps_result.problem,
             apps_result.placements["Greedy"],
             apps_result.traces,

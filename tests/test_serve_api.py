@@ -13,12 +13,13 @@ from datetime import datetime
 
 import pytest
 
+from tests.test_fleet import reference_run
+
 from repro.experiments import Scenario
 from repro.experiments.runner import fleet_sites_for_scenario
 from repro.experiments.scenario import WorkloadSpec
 from repro.serve import create_app
 from repro.serve.testing import ASGIClient
-from repro.sim import simulate
 from repro.supply.spec import SupplySpec
 from repro.units import grid_days
 
@@ -41,6 +42,14 @@ def tiny_scenario(name="twin", days=1.0, seed=3, closed=True) -> Scenario:
         ),
         seed=seed,
     )
+
+
+def dense_summaries(scenario: Scenario) -> dict:
+    """The scenario's fleet, site by site on the dense oracle."""
+    return {
+        site.name: reference_run(site).summary_dict()
+        for site in fleet_sites_for_scenario(scenario)
+    }
 
 
 @pytest.fixture()
@@ -111,14 +120,11 @@ class TestEndpoints:
         summaries = results.json()["results"]
         assert sorted(summaries) == ["BE-wind", "ES-solar"]
 
-        # The session's final summaries match the batch fleet engine
-        # run of the same scenario exactly.
-        want = simulate(
-            fleet_sites_for_scenario(tiny_scenario()),
-            record_events=True,
-        )
+        # The session's final summaries match the dense oracle's run of
+        # the same scenario exactly.
+        want = dense_summaries(tiny_scenario())
         for name, summary in summaries.items():
-            assert summary == want[name].summary_dict()
+            assert summary == want[name]
 
     def test_inject_and_audit(self, client):
         sid = create_session(client)["session_id"]
@@ -205,7 +211,7 @@ class TestEndpoints:
 class TestConcurrentSessions:
     def test_eight_sessions_round_robin(self, client):
         """≥8 live sessions advance independently and each finishes
-        bit-identical to its own batch reference."""
+        bit-identical to its own dense-oracle reference."""
         scenarios = [
             tiny_scenario(name=f"twin-{i}", seed=i, closed=i % 2 == 0)
             for i in range(8)
@@ -237,13 +243,9 @@ class TestConcurrentSessions:
             summaries = client.get(f"/sessions/{sid}/results").json()[
                 "results"
             ]
-            want = simulate(
-                fleet_sites_for_scenario(scenario), record_events=True
-            )
+            want = dense_summaries(scenario)
             for name, summary in summaries.items():
-                assert summary == want[name].summary_dict(), (
-                    sid, name,
-                )
+                assert summary == want[name], (sid, name)
 
 
 class TestHttpxTransport:

@@ -3,7 +3,7 @@
 The load-bearing guarantee: a run advanced in bounded segments —
 interrupted, checkpointed, restored (same process or another one),
 forked — produces columns, event logs, and supply telemetry
-bit-identical to one uninterrupted ``Datacenter.run`` / fleet run.
+bit-identical to one uninterrupted run of the dense oracle.
 """
 
 from __future__ import annotations
@@ -13,8 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.test_fleet import (
     assert_identical,
@@ -59,7 +62,7 @@ class TestSegmentedAdvance:
             "battery_grid": battery_grid_stack(),
         }[stack]
         site = make_site(3, 1500, 400, supply=supply, supply_mode=mode)
-        want = reference_run(site, engine=engine)
+        want = reference_run(site)
         for chunk in (1, 137, 5000):
             got = session_run(site, engine, chunk)
             assert_identical(
@@ -96,6 +99,91 @@ class TestSegmentedAdvance:
         )
 
 
+#: Grid length of the random-segmentation sites.
+SEGMENT_N = 400
+
+
+def priced_threshold_stack(n: int) -> SupplyStack:
+    """A battery plus a threshold-priced grid whose daily price swing
+    (20–80 $/MWh) crosses the 60 $/MWh cap, so buying toggles."""
+    t = np.arange(n)
+    return SupplyStack(
+        components=(
+            BatteryDispatch(
+                capacity_mwh=2.5, max_power_mw=1.5, efficiency=0.9
+            ),
+            PricedGridPower(
+                budget_mwh=300.0,
+                max_power_mw=1.0,
+                price_per_mwh=50.0 + 30.0 * np.sin(2 * np.pi * t / 96),
+                carbon_per_mwh=np.full(n, 200.0),
+                policy="threshold",
+                price_threshold=60.0,
+            ),
+        )
+    )
+
+
+@lru_cache(maxsize=None)
+def segmentation_case(closed: bool):
+    """A small site and its dense-oracle run, built once per setup."""
+    if closed:
+        site = make_site(
+            41, SEGMENT_N, 160,
+            supply=priced_threshold_stack(SEGMENT_N),
+            supply_mode="closed",
+        )
+    else:
+        site = make_site(40, SEGMENT_N, 160)
+    return site, reference_run(site)
+
+
+class TestRandomSegmentation:
+    """``advance`` split at arbitrary cut points == the dense oracle.
+
+    Open-loop segments forward-fill their skipped steps from the step
+    before the segment and hand the wake chain to ``drain_block``;
+    closed-loop segments clamp dispatch windows at the cut.  Random cut
+    points hit both mid-chain and mid-window.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        closed=st.booleans(),
+        cuts=st.lists(
+            st.integers(min_value=1, max_value=SEGMENT_N - 1), max_size=8
+        ),
+    )
+    def test_random_cut_points_match_dense(self, closed, cuts):
+        site, want = segmentation_case(closed)
+        session = SimSession(site)
+        for cut in sorted(set(cuts)):
+            session.advance(cut - session.step)
+        session.run_to_end()
+        got = session.results()[site.name]
+        assert_identical(f"cuts={sorted(set(cuts))}", got, want, events=True)
+        if closed:
+            for series in ("cost_usd", "carbon_kg"):
+                np.testing.assert_array_equal(
+                    getattr(got.supply, series),
+                    getattr(want.supply, series),
+                    err_msg=series,
+                )
+
+    def test_cases_exercise_the_lifecycle(self):
+        """The property is only meaningful if both setups hit evictions
+        and queueing, and the priced grid both buys and refuses."""
+        for closed in (False, True):
+            _, want = segmentation_case(closed)
+            assert want.columns.n_evicted.sum() > 0
+            assert want.columns.n_queued.sum() > 0
+        site, closed_run = segmentation_case(True)
+        imports = closed_run.supply.grid_import_mwh
+        expensive = site.supply.components[1].price_per_mwh > 60.0
+        assert imports[~expensive].sum() > 0.0
+        assert imports[expensive].sum() == 0.0
+
+
 class TestCheckpointRestore:
     """Serialized mid-flight state resumes bit-identically."""
 
@@ -105,7 +193,7 @@ class TestCheckpointRestore:
             5, 1500, 400, supply=battery_grid_stack(),
             supply_mode="closed",
         )
-        want = reference_run(site, engine=engine)
+        want = reference_run(site)
         session = SimSession(site, engine=engine)
         session.advance(533)
         blob = session.checkpoint()

@@ -1,12 +1,13 @@
-"""Golden tests for the SoA step kernel (``engine="soa"``).
+"""Golden tests for the SoA step kernel (``engine="soa"``/``"event"``).
 
 :class:`repro.cluster.kernel.StepKernel` re-implements the five
 ``Datacenter._step`` phases over structure-of-arrays state — VM and
 server attributes as parallel arrays indexed by integers instead of
-object graphs.  The object model stays the golden reference: these
-tests pin the kernel bit-identical (per-step columns, event logs,
-supply telemetry, summaries) across allocation policies, eviction
-orders, power models, pause behaviour, and open/closed supply loops.
+object graphs.  The object model (``engine="dense"``) stays the golden
+oracle: these tests pin the kernel bit-identical to it (per-step
+columns, event logs, supply telemetry, summaries) across allocation
+policies, eviction orders, power models, pause behaviour, and
+open/closed supply loops.
 
 Also here: the closed-form launch-wake-threshold inversion
 (:func:`repro.cluster.admission.min_budget_for_cap`) pinned against a
@@ -109,7 +110,7 @@ def assert_identical(got, want) -> None:
     assert got.summary_dict() == want.summary_dict()
 
 
-def run_engines(config, trace, requests, engines=("soa", "event"), **dc_kw):
+def run_engines(config, trace, requests, engines=("soa", "dense"), **dc_kw):
     return [
         Datacenter(config, trace, **dc_kw).run(requests, engine=engine)
         for engine in engines
@@ -129,8 +130,8 @@ class TestOpenLoopGolden:
         "allocation", ["bestfit", "firstfit", "worstfit"]
     )
     def test_allocation_policies(self, allocation):
-        soa, event = run_engines(*random_scenario(4, allocation=allocation))
-        assert_identical(soa, event)
+        soa, dense = run_engines(*random_scenario(4, allocation=allocation))
+        assert_identical(soa, dense)
 
     @pytest.mark.parametrize(
         "order",
@@ -142,22 +143,22 @@ class TestOpenLoopGolden:
     )
     @pytest.mark.parametrize("pause", [False, True])
     def test_eviction_orders(self, order, pause):
-        soa, event = run_engines(
+        soa, dense = run_engines(
             *random_scenario(
                 5, eviction_order=order, pause_degradable=pause
             )
         )
-        assert_identical(soa, event)
+        assert_identical(soa, dense)
 
     def test_server_granular_power_model(self):
-        soa, event = run_engines(*random_scenario(6, power_model="server"))
-        assert_identical(soa, event)
+        soa, dense = run_engines(*random_scenario(6, power_model="server"))
+        assert_identical(soa, dense)
 
     def test_static_utilization_cap(self):
-        soa, event = run_engines(
+        soa, dense = run_engines(
             *random_scenario(7, power_relative_admission=False)
         )
-        assert_identical(soa, event)
+        assert_identical(soa, dense)
 
 
 def battery_stack() -> SupplyStack:
@@ -190,11 +191,11 @@ class TestClosedLoopGolden:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_stacks_match_event(self, stack_factory, seed):
         config, trace, requests = random_scenario(seed)
-        soa, event = run_engines(
+        soa, dense = run_engines(
             config, trace, requests,
             supply=stack_factory(), supply_mode="closed",
         )
-        assert_identical(soa, event)
+        assert_identical(soa, dense)
 
     def test_battery_matches_dense(self):
         config, trace, requests = random_scenario(2)
@@ -206,11 +207,11 @@ class TestClosedLoopGolden:
 
     def test_server_power_model(self):
         config, trace, requests = random_scenario(3, power_model="server")
-        soa, event = run_engines(
+        soa, dense = run_engines(
             config, trace, requests,
             supply=battery_grid_stack(), supply_mode="closed",
         )
-        assert_identical(soa, event)
+        assert_identical(soa, dense)
 
 
 def reference_min_budget(need: int, util: float, total: int) -> int:

@@ -39,7 +39,7 @@ from repro.multisite.physical_battery import (
     smooth_with_battery,
 )
 from repro.sched import problem_from_forecasts
-from repro.sim import execute_placement_detailed
+from repro.sim import simulate
 from repro.sched import Placement
 from repro.supply import (
     NO_SUPPLY,
@@ -510,8 +510,8 @@ class TestDetailedExecutorIntegration:
             {0: {"a": 10}, 1: {"b": 10}, 2: {"a": 5, "b": 5}}
         )
         cluster = ClusterSpec(n_servers=10, server=ServerSpec(cores=40))
-        result = execute_placement_detailed(
-            problem, placement, traces, cluster,
+        result = simulate(
+            problem, placement, traces, cluster=cluster,
             engine=engine, supply=stack,
         )
         assert set(result.supply) == {"a", "b"}
@@ -531,8 +531,8 @@ class TestDetailedExecutorIntegration:
         )
         cluster = ClusterSpec(n_servers=10, server=ServerSpec(cores=40))
         results = [
-            execute_placement_detailed(
-                problem, placement, traces, cluster,
+            simulate(
+                problem, placement, traces, cluster=cluster,
                 engine=engine, supply=stack,
             )
             for engine in ("event", "dense")

@@ -5,9 +5,11 @@ Pins the tentpole contracts of the carbon/price-aware supply layer:
 - **Flat-budget degenerate case**: a constant-price, no-threshold,
   ``always``-policy :class:`PricedGridPower` is bit-identical to
   :class:`GridFirmPower` — delivered series and simulation columns,
-  across both event engines, open and closed loop, per-site and
-  batched fleet — while additionally carrying the cost/carbon ledger
-  (total cost == total imports x the constant price).
+  across the step kernel and the dense oracle, open and closed loop,
+  per-site and fleet — while additionally carrying the cost/carbon ledger
+  (total cost == total imports x the constant price).  The step-kernel
+  and dense-oracle legs each compare flat against priced; the fleet leg
+  compares against the dense oracle.
 - **Scalar == batched**: the ``(S,)``-lane branch-select replay in
   ``repro.supply.batch`` reproduces scalar ``dispatch()`` bitwise on
   unlimited-power grids under every purchase policy.
@@ -239,7 +241,7 @@ class TestFlatBudgetDegenerate:
         solo = {
             trace.name: Datacenter(
                 config, trace, supply=priced_stack(n)
-            ).run(reqs)
+            ).run(reqs, engine="dense")
             for trace, reqs in zip(traces, requests)
         }
         for name in flat:
@@ -247,7 +249,7 @@ class TestFlatBudgetDegenerate:
                 flat[name].supply, priced[name].supply
             )
             assert_cost_ledger(priced[name].supply)
-            # Batched fleet == per-site loop, cost series included.
+            # Fleet == per-site dense oracle, cost series included.
             for series in ENERGY_SERIES + ("cost_usd", "carbon_kg"):
                 np.testing.assert_array_equal(
                     getattr(priced[name].supply, series),
