@@ -98,3 +98,7 @@ class ConfigurationError(ReproError):
 class SessionError(ReproError):
     """A live simulation session was used invalidly (bad tick, bad
     checkpoint blob, unknown session id, malformed injection)."""
+
+
+class UnknownSessionError(SessionError):
+    """A session id names no live session (the API's 404)."""

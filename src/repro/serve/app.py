@@ -38,8 +38,8 @@ DELETE    /sessions/{id}                     forget the session
 Every session runs the step kernel; any ``engine`` other than the two
 names for it is a 400 (the dense object-model oracle is a test
 reference, not served).  Errors map to ``{"error": ...}`` with 400
-(:class:`SessionError` / bad input), 404 (unknown session or route),
-or 405.
+(:class:`SessionError` / bad input), 404
+(:class:`UnknownSessionError` or an unknown route), or 405.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import json
 from urllib.parse import parse_qs
 
 from .. import obs
-from ..errors import ReproError, SessionError
+from ..errors import ReproError, SessionError, UnknownSessionError
 from .registry import SessionRegistry
 
 __all__ = ["create_app"]
@@ -135,9 +135,8 @@ def create_app(registry: SessionRegistry | None = None):
         path = scope["path"].rstrip("/") or "/"
         try:
             await _route(method, path, scope, receive, send)
-        except SessionError as exc:
-            status = 404 if "unknown session" in str(exc) else 400
-            await _send_json(send, status, {"error": str(exc)})
+        except UnknownSessionError as exc:
+            await _send_json(send, 404, {"error": str(exc)})
         except ReproError as exc:
             await _send_json(send, 400, {"error": str(exc)})
         except (KeyError, TypeError, ValueError) as exc:

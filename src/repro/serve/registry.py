@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Sequence
 
-from ..errors import SessionError
+from ..errors import SessionError, UnknownSessionError
 from ..experiments.runner import fleet_sites_for_scenario
 from ..experiments.scenario import SCHEMA_VERSION, Scenario
 from ..sim.fleet import FleetSite
@@ -164,18 +164,18 @@ class SessionRegistry:
     # -- resolution ----------------------------------------------------
 
     def get(self, session_id: str) -> SimSession:
-        """Resolve an id; unknown ids raise :class:`SessionError`."""
+        """Resolve an id; unknown ids raise :class:`UnknownSessionError`."""
         with self._lock:
             session = self._sessions.get(session_id)
         if session is None:
-            raise SessionError(f"unknown session: {session_id!r}")
+            raise UnknownSessionError(f"unknown session: {session_id!r}")
         return session
 
     def delete(self, session_id: str) -> None:
         """Forget a session (its memory goes with it)."""
         with self._lock:
             if self._sessions.pop(session_id, None) is None:
-                raise SessionError(f"unknown session: {session_id!r}")
+                raise UnknownSessionError(f"unknown session: {session_id!r}")
 
     def ids(self) -> list[str]:
         with self._lock:

@@ -43,18 +43,17 @@ one program**:
   step lists let the finalizer reconstruct every skipped span with one
   ``np.repeat`` per column instead of one slice write per window.
 
-* **Batched closed-loop dispatch.**  Closed-loop supply sites
+* **Closed-loop sites run one at a time.**  Closed-loop supply sites
   (stateful :class:`SupplyStack` dispatched against live demand)
   cannot share the budget matrix — their budgets depend on each site's
-  own demand trajectory — but their *supply dynamics* batch: a
-  same-length group advances in lockstep through
-  :class:`~repro.supply.batch.BatchedDispatch`, one ``(S,)``-shaped
-  battery/grid update per step, with only wake steps (arrival, finish,
-  expiry, or a delivered-power threshold crossing) touching a site's
-  step kernel.  Groups below :data:`CLOSED_BATCH_MIN_SITES` — where S
-  scalar span kernels beat one array program — and stacks with exotic
-  component types run the per-site skip-ahead closed loop of
-  :meth:`Datacenter.advance` instead, inside the same fleet run.
+  own demand trajectory — so each runs the per-site skip-ahead closed
+  loop of :meth:`Datacenter.advance` inside the same fleet run: the
+  scalar span kernel dispatches each constant-demand window in one
+  tight loop and the idle fast path skips pinned windows whole.  A
+  lockstep ``(S,)``-lane dispatcher used to advance same-length groups
+  of 16 or more sites one step at a time; it lost to the per-site path
+  at every fleet size measured (2.1x slower at 16 sites, 1.4–1.6x at
+  64–128, 1.9x at 512), so it was removed.
 
 ``Datacenter.advance`` shares every line of phase logic with the fleet
 path (the same kernels, the same dispatch arithmetic), and the golden
@@ -84,7 +83,6 @@ from ..cluster.datacenter import (
 )
 from ..errors import ConfigurationError
 from ..supply import SupplyStack
-from ..supply.batch import BatchedDispatch
 from ..traces import PowerTrace
 from ..workload import VMRequest
 
@@ -96,12 +94,6 @@ _NO_UPPER = 2**62
 
 #: Grid steps covered by each shared open-loop crossing scan.
 BLOCK_STEPS = 4096
-
-#: Smallest same-length closed-loop group advanced through the batched
-#: lockstep dispatcher; smaller groups run site by site through the
-#: span kernel of ``Datacenter.advance``, which wins while per-step
-#: numpy overhead outweighs the batching.
-CLOSED_BATCH_MIN_SITES = 16
 
 
 def crossing_scan(
@@ -242,37 +234,17 @@ class FleetEngine:
         with obs.span(
             "fleet.run", n_sites=len(runs), n_steps=n_steps
         ):
-            open_loop = [r for r in runs if not r.state.closed]
-            closed = [r for r in runs if r.state.closed]
-            # Closed-loop sites dispatch against their own live demand;
-            # their budgets cannot enter the shared matrix.  Large
-            # same-length groups with batchable stacks advance in
-            # lockstep through one vectorized dispatcher; the rest run
-            # the per-site skip-ahead closed loop of Datacenter.advance.
-            closed_by_length: dict[int, list[_SiteRun]] = {}
-            for run in closed:
-                closed_by_length.setdefault(run.state.n, []).append(run)
-            for n, cgroup in sorted(closed_by_length.items()):
-                batchable = []
-                solo = []
-                for run in cgroup:
-                    if BatchedDispatch.supports(run.state.dispatcher):
-                        batchable.append(run)
-                    else:
-                        solo.append(run)
-                if n and len(batchable) >= CLOSED_BATCH_MIN_SITES:
-                    self._run_closed_group(n, batchable)
-                    for run in batchable:
-                        run.state.processed = len(run.processed_steps)
-                else:
-                    solo = batchable + solo
-                for run in solo:
-                    run.datacenter.advance(run.state, run.state.n)
-            # Open-loop sites share one columnar program per grid
-            # length (budget rows must be the same width to stack).
+            # Closed-loop sites dispatch against their own live demand,
+            # so their budgets cannot enter the shared matrix: each runs
+            # the per-site skip-ahead closed loop.  Open-loop sites
+            # share one columnar program per grid length (budget rows
+            # must be the same width to stack).
             by_length: dict[int, list[_SiteRun]] = {}
-            for run in open_loop:
-                by_length.setdefault(run.state.n, []).append(run)
+            for run in runs:
+                if run.state.closed:
+                    run.datacenter.advance(run.state, run.state.n)
+                else:
+                    by_length.setdefault(run.state.n, []).append(run)
             for n, group in sorted(by_length.items()):
                 self._run_group(n, group)
             results = {}
@@ -345,71 +317,6 @@ class FleetEngine:
         self._finalize_group(n, group)
 
     # ------------------------------------------------------------------
-
-    def _run_closed_group(self, n: int, group: list[_SiteRun]) -> None:
-        """Lockstep closed-loop program over one same-length group.
-
-        Every step, one :meth:`BatchedDispatch.step_many` advances all
-        sites' supply state against their current demand.  A site's
-        kernel runs only at wake steps — a scheduled arrival / finish /
-        expiry (the shared event heap), or a delivered-power crossing
-        of its wake thresholds in normalized space (the same exact
-        thresholds :meth:`Datacenter._norm_bounds` gives the per-site
-        span kernel, so the wake pattern — and therefore every column
-        and telemetry value — is bit-identical to per-site runs).
-        """
-        batch = BatchedDispatch([r.state.dispatcher for r in group])
-        s = len(group)
-        kernels = [r.state.kernel for r in group]
-        dcs = [r.datacenter for r in group]
-        norm_fns = [dc.power_model.norm_for_cores for dc in dcs]
-        budget_fns = [dc.power_model.core_budget for dc in dcs]
-        demand = np.zeros(s)
-        lo = np.full(s, -np.inf)
-        up = np.full(s, np.inf)
-        # Every site wakes at step 0, like the per-site engine's first
-        # iteration; the heap keys (step, group index).
-        events: list[tuple[int, int]] = [(0, g) for g in range(s)]
-        for t in range(n):
-            due: list[int] = []
-            while events and events[0][0] <= t:
-                _, g = heappop(events)
-                due.append(g)
-                # Event steps dispatch against the step's own demand —
-                # arrivals and finish buckets included — exactly as
-                # the per-site wake iteration does; between wakes the
-                # window demand set below carries.
-                demand[g] = norm_fns[g](kernels[g].demand_at(t))
-            delivered = batch.step_many(t, demand)
-            clipped = np.clip(delivered, 0.0, 1.0)
-            crossing = (clipped < lo) | (clipped >= up)
-            if not due and not crossing.any():
-                continue
-            wakers = set(due)
-            wakers.update(np.flatnonzero(crossing).tolist())
-            for g in sorted(wakers):
-                kernel = kernels[g]
-                kernel.step_wake(t, budget_fns[g](float(clipped[g])))
-                group[g].processed_steps.append(t)
-                demand[g] = max(norm_fns[g](kernel.window_demand()), 0.0)
-                lo_n, up_n = dcs[g]._norm_bounds(*kernel.wake_bounds())
-                lo[g] = -np.inf if lo_n is None else lo_n
-                up[g] = np.inf if up_n is None else up_n
-                nxt = kernel.next_event()
-                if nxt < n:
-                    heappush(events, (nxt, g))
-        batch.finalize()
-        # Power columns come straight from the delivered matrix, budget
-        # rows through the same clip + budget series the per-site
-        # engine applies step by step.
-        for g, run in enumerate(group):
-            cols = run.state.cols
-            clipped_row = np.clip(
-                run.state.dispatcher.evaluation.delivered, 0.0, 1.0
-            )
-            cols.norm_power[:] = clipped_row
-            cols.core_budget[:] = dcs[g]._budget_series(clipped_row)
-        self._finalize_group(n, group)
 
     @staticmethod
     def _finalize_group(n: int, group: list[_SiteRun]) -> None:

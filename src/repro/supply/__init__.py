@@ -10,14 +10,17 @@ budgets through its own path now shares this one:
 - :class:`BatteryDispatch` / :class:`GridFirmPower` /
   :class:`PricedGridPower` — stateful top-ups with SoC / budget /
   cost-and-carbon dynamics.
-- :class:`BatchedDispatch` — the fleet engine's vectorized closed-loop
-  dispatch: S same-length sites advanced in one array program per
-  step, bit-identical to S scalar dispatchers.
+- :class:`SupplyDispatcher` — closed-loop dispatch of one stack
+  against one site's live demand: :meth:`~SupplyDispatcher.dispatch`
+  per step, and the :meth:`~SupplyDispatcher.advance_span` kernel over
+  a constant-demand window (bit-identical to per-step dispatch).  Every
+  closed-loop site, fleet members included, runs this scalar kernel; a
+  vectorized ``(S,)``-lane fleet dispatcher lost to it at every fleet
+  size measured and was removed.
 - :class:`SupplySpec` — the serializable, content-hashable form used
   by `experiments.Scenario` and the CLI.
 """
 
-from .batch import BatchedDispatch
 from .components import (
     GRID_POLICIES,
     BatteryDispatch,
@@ -37,7 +40,6 @@ from .stack import (
 )
 
 __all__ = [
-    "BatchedDispatch",
     "BatteryDispatch",
     "BatteryState",
     "DEFAULT_BATTERY_HOURS",

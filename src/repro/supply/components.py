@@ -49,9 +49,9 @@ class SupplyComponent(Protocol):
 
     State records returned by :meth:`initial_state` should expose
     ``to_dict()`` / ``from_dict()`` snapshots (as the shipped
-    :class:`BatteryState` / :class:`GridBudgetState` do) so session
-    checkpoints and the batched dispatcher's state sync can rebuild
-    them without poking attributes ad hoc.
+    :class:`BatteryState` / :class:`GridBudgetState` do): a JSON-ready
+    form a non-pickle checkpoint can serialize and rebuild without
+    poking attributes ad hoc.
     """
 
     def initial_state(self) -> object:
@@ -96,7 +96,7 @@ class BatteryState:
         self.soc_mwh = soc_mwh
 
     def to_dict(self) -> dict:
-        """JSON-ready snapshot (session checkpoints, batch sync)."""
+        """JSON-ready snapshot, inverted by :meth:`from_dict`."""
         return {"soc_mwh": self.soc_mwh}
 
     @classmethod
@@ -208,7 +208,7 @@ class GridBudgetState:
         self.remaining_mwh = remaining_mwh
 
     def to_dict(self) -> dict:
-        """JSON-ready snapshot (session checkpoints, batch sync)."""
+        """JSON-ready snapshot, inverted by :meth:`from_dict`."""
         return {"remaining_mwh": self.remaining_mwh}
 
     @classmethod
@@ -295,7 +295,7 @@ class PricedGridState(GridBudgetState):
         self.virtual_mwh = virtual_mwh
 
     def to_dict(self) -> dict:
-        """JSON-ready snapshot (session checkpoints, batch sync)."""
+        """JSON-ready snapshot, inverted by :meth:`from_dict`."""
         return {
             "remaining_mwh": self.remaining_mwh,
             "cost_usd": self.cost_usd,

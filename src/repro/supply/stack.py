@@ -72,11 +72,10 @@ class SupplyEvaluation:
     #: order: ``delivered`` first, then the component telemetry in
     #: accounting order (SoC, charge, discharge, grid import,
     #: curtailment, purchase cost, purchase carbon).  This tuple is the
-    #: contract consumers iterate — the fleet engine's batched dispatch
-    #: rebinds these attributes to shared site-major matrices, and
-    #: session checkpoints serialize them — instead of poking
-    #: attributes ad hoc.  Appending a new series is allowed;
-    #: reordering or renaming is a breaking change.
+    #: contract consumers iterate — the equivalence tests compare them
+    #: series by series, and session checkpoints serialize them —
+    #: instead of poking attributes ad hoc.  Appending a new series is
+    #: allowed; reordering or renaming is a breaking change.
     SERIES_FIELDS = (
         "delivered", "soc_mwh", "charge_mwh", "discharge_mwh",
         "grid_import_mwh", "curtailed_mwh", "cost_usd", "carbon_kg",

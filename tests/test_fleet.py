@@ -11,6 +11,7 @@ are covered here.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -28,9 +29,8 @@ from repro.experiments import (
 )
 from repro.experiments.cache import load_shared_traces, stage_shared_traces
 from repro.sim import FleetEngine, FleetSite
-from repro.sim import fleet as fleet_module
 from repro.sim.fleet import _NO_LOWER, _NO_UPPER, crossing_scan
-from repro.supply import SupplyStack
+from repro.supply import SupplyEvaluation, SupplySpec, SupplyStack
 from repro.supply.components import BatteryDispatch, GridFirmPower
 from repro.traces import PowerTrace
 from repro.units import TimeGrid, grid_days
@@ -45,13 +45,17 @@ VM_TYPES = (
     VMType("D16", 16, 64.0),
 )
 
-SUPPLY_FIELDS = (
-    "delivered",
-    "soc_mwh",
-    "charge_mwh",
-    "discharge_mwh",
-    "grid_import_mwh",
-    "curtailed_mwh",
+#: The supply stack of the ``fleet-battery`` benchmark workload: a
+#: battery plus a grid that buys only while the synthesized price is at
+#: or below a $60/MWh cap.
+FLEET_BATTERY_SUPPLY = SupplySpec(
+    battery_mwh=200.0,
+    grid_budget_mwh=500.0,
+    price_trace="double_peak",
+    carbon_trace="daily",
+    grid_policy="threshold",
+    price_threshold=60.0,
+    mode="closed",
 )
 
 
@@ -151,7 +155,7 @@ def assert_identical(name, got, want, events: bool = False) -> None:
         )
     assert (got.supply is None) == (want.supply is None), name
     if got.supply is not None:
-        for field in SUPPLY_FIELDS:
+        for field in SupplyEvaluation.SERIES_FIELDS:
             np.testing.assert_array_equal(
                 np.asarray(getattr(got.supply, field)),
                 np.asarray(getattr(want.supply, field)),
@@ -465,78 +469,62 @@ def grid_stack() -> SupplyStack:
 
 
 class TestBatchedClosedFleet:
-    """The lockstep batched closed-loop dispatcher vs per-site engines.
+    """The fleet engine's closed-loop sites vs the dense oracle.
 
-    Heterogeneous stacks (battery-only, grid-only, battery+grid, and
-    empty/open sites mixed in) across fleet sizes: forcing every
-    closed group through :class:`~repro.supply.batch.BatchedDispatch`
-    (``CLOSED_BATCH_MIN_SITES = 1``) must be bitwise identical to
-    forcing every site through the per-site span-kernel path.
+    Heterogeneous stacks (battery-only, grid-only, battery+grid, the
+    ``fleet-battery`` benchmark's battery + threshold-priced grid, and
+    empty/open sites mixed in) across fleet sizes: every site of one
+    fleet run, event log included, must be bitwise identical to an
+    independent dense-oracle run of that site.
     """
 
-    STACKS = (battery_stack, grid_stack, battery_grid_stack, None)
-
-    @staticmethod
-    def run_fleet(monkeypatch, sites, min_sites, **kwargs):
-        """One fleet run with the batched-path size threshold forced."""
-        monkeypatch.setattr(fleet_module, "CLOSED_BATCH_MIN_SITES", min_sites)
-        return FleetEngine(sites, **kwargs).run()
+    #: Stack builders over a site's trace (``None``: open loop).
+    STACKS = (
+        lambda trace: battery_stack(),
+        lambda trace: grid_stack(),
+        lambda trace: battery_grid_stack(),
+        FLEET_BATTERY_SUPPLY.build,
+        None,
+    )
 
     def heterogeneous_fleet(self, n_sites: int, n: int) -> list[FleetSite]:
         sites = []
         for i in range(n_sites):
-            factory = self.STACKS[i % len(self.STACKS)]
-            sites.append(
-                make_site(
-                    100 + i,
-                    n,
-                    600,
-                    power_model="server" if i % 5 == 0 else "linear",
-                    supply=factory() if factory else None,
-                    supply_mode="closed" if factory else "open",
-                    name=f"hetero-{i}",
-                )
+            site = make_site(
+                100 + i,
+                n,
+                600,
+                power_model="server" if i % 3 == 0 else "linear",
+                name=f"hetero-{i}",
             )
+            factory = self.STACKS[i % len(self.STACKS)]
+            if factory:
+                site = replace(
+                    site, supply=factory(site.trace), supply_mode="closed"
+                )
+            sites.append(site)
         return sites
 
-    @pytest.mark.parametrize("n_sites", [1, 8, 64])
-    def test_batched_matches_per_site_bitwise(self, n_sites, monkeypatch):
-        n = 1200 if n_sites <= 8 else 500
-        sites = self.heterogeneous_fleet(n_sites, n)
-        batched = self.run_fleet(monkeypatch, sites, 1, record_events=True)
-        per_site = self.run_fleet(
-            monkeypatch, sites, 10**9, record_events=True
-        )
-        for site in sites:
-            assert_identical(
-                site.name, batched[site.name], per_site[site.name],
-                events=True,
-            )
+    def test_batched_matches_independent_runs(self):
+        for n_sites, n in ((1, 1200), (8, 1200), (64, 500)):
+            sites = self.heterogeneous_fleet(n_sites, n)
+            fleet = FleetEngine(sites, record_events=True).run()
+            for site in sites:
+                assert_identical(
+                    site.name, fleet[site.name], reference_run(site),
+                    events=True,
+                )
 
-    def test_batched_matches_independent_runs(self, monkeypatch):
-        sites = self.heterogeneous_fleet(8, 1200)
-        batched = self.run_fleet(monkeypatch, sites, 1, record_events=True)
-        for site in sites:
-            assert_identical(
-                site.name, batched[site.name], reference_run(site),
-                events=True,
-            )
-
-    def test_default_threshold_routes_large_groups(self, monkeypatch):
-        # 16 battery sites of one length: the default threshold admits
-        # them to the batched path, and results still match per-site.
-        sites = [
-            make_site(
-                200 + i, 800, 500,
-                supply=battery_stack(), supply_mode="closed",
-                name=f"batch-{i}",
-            )
-            for i in range(16)
-        ]
-        assert len(sites) >= fleet_module.CLOSED_BATCH_MIN_SITES
-        batched = FleetEngine(sites).run()
-        per_site = self.run_fleet(monkeypatch, sites, 10**9)
-        for site in sites:
-            assert_identical(
-                site.name, batched[site.name], per_site[site.name]
-            )
+    def test_priced_site_buys_and_refuses(self):
+        """Guard: the priced site of the fleets above buys grid energy,
+        and refuses it while budget remains, evicting VMs at steps
+        whose price is over the cap."""
+        site = self.heterogeneous_fleet(4, 1200)[3]
+        result = FleetEngine([site]).run()[site.name]
+        grid = site.supply.components[1]
+        imports = result.supply.grid_import_mwh
+        expensive = grid.price_per_mwh > grid.price_threshold
+        budget_left = np.cumsum(imports) < grid.budget_mwh
+        assert imports.sum() > 0.0
+        assert imports[expensive].sum() == 0.0
+        assert result.columns.n_evicted[expensive & budget_left].sum() > 0

@@ -192,6 +192,14 @@ class TestEndpoints:
         assert client.get(f"/sessions/{sid}/status").status == 404
         assert client.delete(f"/sessions/{sid}").status == 404
         assert client.get("/nowhere").status == 404
+        # A bad engine is a bad request, not a missing session, even
+        # though its message starts "unknown session engine".
+        for engine in ("dense", "bogus"):
+            bad_engine = client.post("/sessions", json={
+                "scenario": tiny_scenario().to_dict(), "engine": engine,
+            })
+            assert bad_engine.status == 400, engine
+            assert "engine" in bad_engine.json()["error"]
         assert client.post("/sessions", json={}).status == 400
         assert (
             client.post("/sessions", json={"scenario": "x"}).status == 400

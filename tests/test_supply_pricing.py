@@ -1,4 +1,4 @@
-"""Golden degenerate and batched-equality tests for the priced grid.
+"""Golden degenerate and span-kernel equality tests for the priced grid.
 
 Pins the tentpole contracts of the carbon/price-aware supply layer:
 
@@ -10,9 +10,11 @@ Pins the tentpole contracts of the carbon/price-aware supply layer:
   (total cost == total imports x the constant price).  The step-kernel
   and dense-oracle legs each compare flat against priced; the fleet leg
   compares against the dense oracle.
-- **Scalar == batched**: the ``(S,)``-lane branch-select replay in
-  ``repro.supply.batch`` reproduces scalar ``dispatch()`` bitwise on
-  unlimited-power grids under every purchase policy.
+- **Span kernel == scalar**: ``SupplyDispatcher.advance_span``, the
+  inlined constant-demand window loop every closed-loop site runs,
+  reproduces per-step ``dispatch()`` bitwise — deliveries, the wake
+  crossing flag, every evaluation series, and the component states —
+  over random windows and wake thresholds under every purchase policy.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from repro.supply import (
     PricedGridPower,
     SupplyStack,
 )
-from repro.supply.batch import BatchedDispatch
 from repro.supply.stack import SupplyEvaluation
 from repro.traces import PowerTrace
 from repro.units import TimeGrid
@@ -208,8 +209,8 @@ class TestFlatBudgetDegenerate:
             4.0 * step_hours + 1e-12
         )
 
-    def test_fleet_batched_bitwise(self):
-        """The columnar fleet engine replays the degenerate case too."""
+    def test_fleet_bitwise(self):
+        """The fleet engine replays the degenerate case too."""
         n = 400
         config = small_config()
         traces = [
@@ -281,56 +282,87 @@ def priced_component(policy, n, seed, budget=60.0):
 
 
 class TestScalarBatchedProperty:
-    """Satellite: scalar step() == batched lanes, bit for bit."""
+    """Span dispatch of batched steps == scalar per-step dispatch.
+
+    :meth:`SupplyDispatcher.advance_span` dispatches a whole
+    constant-demand window in one loop with each component's ``step``
+    inlined; the closed-loop engines run nothing else.  Random windows,
+    demands and wake thresholds walk a whole grid through it, side by
+    side with per-step :meth:`SupplyDispatcher.dispatch`.
+    """
 
     @pytest.mark.parametrize("policy", ["always", "threshold", "dvb"])
-    def test_scalar_matches_batched_bitwise(self, policy):
-        n, n_sites = 160, 5
-        traces = [
-            random_trace(n, seed=10 + i, capacity_mw=50.0 + 10 * i,
-                         name=f"r{i}")
-            for i in range(n_sites)
-        ]
-        stacks = [
-            SupplyStack((
-                BatteryDispatch(30.0, 10.0),
-                priced_component(policy, n, seed=20 + i),
-            ))
-            for i in range(n_sites)
-        ]
-        rng = np.random.default_rng(99)
-        demands = rng.uniform(0.0, 1.2, size=(n, n_sites))
+    def test_span_matches_scalar_bitwise(self, policy):
+        n = 600
+        rng = np.random.default_rng(10)
+        # Dead and full-output steps put the clipped delivery on the
+        # [0, 1] edges, where the strict/non-strict wake tests differ.
+        values = rng.uniform(0.0, 1.0, n)
+        values[rng.random(n) < 0.1] = 0.0
+        values[rng.random(n) < 0.1] = 1.0
+        trace = make_trace(values, capacity_mw=60.0)
 
-        scalar = [
-            stack.dispatcher(trace)
-            for stack, trace in zip(stacks, traces)
-        ]
-        lanes = [
-            stack.dispatcher(trace)
-            for stack, trace in zip(stacks, traces)
-        ]
-        batched = BatchedDispatch(lanes)
-        for t in range(n):
-            got = batched.step_many(t, demands[t])
-            want = np.array([
-                d.dispatch(t, float(demands[t, i]))
-                for i, d in enumerate(scalar)
-            ])
-            np.testing.assert_array_equal(
-                got, want, err_msg=f"step {t}"
-            )
-        batched.finalize()
-        for d_scalar, d_lane in zip(scalar, lanes):
-            for name in SupplyEvaluation.SERIES_FIELDS:
-                np.testing.assert_array_equal(
-                    getattr(d_scalar.evaluation, name),
-                    getattr(d_lane.evaluation, name),
-                    err_msg=name,
+        def dispatcher():
+            stack = SupplyStack((
+                BatteryDispatch(30.0, 10.0),
+                priced_component(policy, n, seed=20, budget=200.0),
+            ))
+            return stack.dispatcher(trace)
+
+        def threshold(low, high):
+            """``None`` (disabled), an edge of [0, 1], or a draw."""
+            draw = rng.random()
+            if draw < 0.2:
+                return None
+            if draw < 0.35:
+                return float(rng.choice([0.0, 1.0]))
+            return float(rng.uniform(low, high))
+
+        scalar, span = dispatcher(), dispatcher()
+        exits = {"crossed": 0, "window": 0, "idle": 0}
+        t = 0
+        while t < n:
+            stop = min(n, t + int(rng.integers(1, 40)))
+            demand = float(rng.uniform(0.0, 1.2))
+            lo = threshold(0.0, 0.8)
+            up = threshold(lo or 0.0, 1.3)
+            want, want_crossed = [], False
+            for step in range(t, stop):
+                delivered = scalar.dispatch(step, demand)
+                want.append(delivered)
+                clipped = min(max(delivered, 0.0), 1.0)
+                if (lo is not None and clipped < lo) or (
+                    up is not None and clipped >= up
+                ):
+                    want_crossed = True
+                    break
+            # An idle return (a short prefix, not a crossing) resumes
+            # after the prefix, as the closed-loop engine does.
+            got, crossed = [], False
+            while t + len(got) < stop and not crossed:
+                prefix, crossed = span.advance_span(
+                    t + len(got), stop, demand, lo, up
                 )
-            for st_scalar, st_lane in zip(
-                d_scalar.states, d_lane.states
-            ):
-                assert st_scalar.to_dict() == st_lane.to_dict()
+                got += prefix
+                if not crossed and t + len(got) < stop:
+                    exits["idle"] += 1
+            assert got == want, f"window at step {t}"
+            assert crossed == want_crossed, f"window at step {t}"
+            for st_scalar, st_span in zip(scalar.states, span.states):
+                assert st_scalar.to_dict() == st_span.to_dict()
+            exits["crossed" if crossed else "window"] += 1
+            t += len(got)
+        for name in SupplyEvaluation.SERIES_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(scalar.evaluation, name),
+                getattr(span.evaluation, name),
+                err_msg=name,
+            )
+        # Every exit of the kernel was taken, and the grid both bought
+        # and ran dry.
+        assert min(exits.values()) > 0, exits
+        assert 0.0 < scalar.evaluation.grid_import_mwh.sum()
+        assert scalar.states[1].remaining_mwh == 0.0
 
     def test_policies_actually_diverge(self):
         """Guard: the three policies buy different energy, so the
