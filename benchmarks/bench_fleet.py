@@ -78,7 +78,7 @@ FLEET_BATTERY_SUPPLY = SupplySpec(
 
 #: Hard gate of the closed-loop leg: closed-loop fleet wall time over
 #: the same sites' open-loop wall time, on medians.  On this instance
-#: the per-site span kernel measures 2.0-2.1x and the lockstep batched
+#: the per-site closed loop measures 2.0-2.2x and the lockstep batched
 #: dispatcher it replaced measured 5.1-5.5x (2 CPUs, three runs each).
 CLOSED_OVER_OPEN_MAX = 3.0
 

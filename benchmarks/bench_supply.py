@@ -8,20 +8,21 @@ case must stay free: a year-horizon fleet run with an empty
 no-supply call (plus a small absolute floor so a loaded runner doesn't
 flake on sub-second noise), and must stay result-identical.
 
-The battery closed-loop bench carries a second hard gate: with the
-span-kernel dispatch windows and the SoA step kernel, a battery-backed
-closed-loop site-year must stay within 4x of the open-loop kernel run
-of the same site without supply — closed-loop dispatch is stateful at
-every step, but the per-step cost is a handful of float operations in
-a tight loop, not an object-graph walk.  The open-loop evaluation throughput is recorded without a
-gate.
+The battery closed-loop bench carries a second hard gate: with pinned
+windows skipped whole and live windows dispatched up to their first
+wake crossing over the SoA step kernel, a battery-backed closed-loop
+site-year must stay within 4x of the open-loop kernel run of the same
+site without supply — closed-loop dispatch is stateful at every step,
+but the per-step cost is a handful of float operations, not an
+object-graph walk.  The open-loop evaluation throughput is recorded
+without a gate.
 
-The carbon leg carries the third hard gate: swapping the flat-budget
-``GridFirmPower`` for its priced twin (constant-price ``always``-policy
-``PricedGridPower``, which is result-identical by the degenerate
-contract) must cost at most 10% extra wall clock on a closed-loop
-site-year — the cost/carbon ledger is two multiply-adds per import
-step, not a second dispatch pass.
+The carbon leg carries the third hard gate: pricing the grid (a
+constant-price ``always``-policy ``PricedGridPower`` instead of an
+unpriced one, result-identical by the degenerate contract) must cost
+at most 10% extra wall clock on a closed-loop site-year — the
+cost/carbon ledger is two multiply-adds per import step, not a second
+dispatch pass.
 
 Every run writes machine-readable ``BENCH_supply.json`` at the repo
 root; CI uploads it as an artifact and fails the bench-smoke job if the
@@ -42,12 +43,7 @@ import pytest
 
 from repro.cluster import Datacenter, DatacenterConfig
 from repro.experiments.defaults import YEAR_START
-from repro.supply import (
-    BatteryDispatch,
-    GridFirmPower,
-    PricedGridPower,
-    SupplyStack,
-)
+from repro.supply import BatteryDispatch, PricedGridPower, SupplyStack
 from repro.traces import synthesize_wind
 from repro.units import grid_days
 from repro.workload import VMClass, VMRequest, VMType
@@ -175,8 +171,9 @@ def test_supply_empty_stack_overhead():
 def test_supply_battery_closed_loop_year():
     """One battery-backed site-year, closed loop, kernel and dense.
 
-    The second CI gate: the closed-loop kernel path (span-kernel
-    dispatch windows over the SoA step kernel) must stay within 4x of
+    The second CI gate: the closed-loop kernel path (pinned-window
+    skipping and per-step dispatch windows over the SoA step kernel)
+    must stay within 4x of
     the open-loop kernel run of the same site without supply (+0.5s
     noise floor).  Dispatch is stateful at every step, so some
     multiple is inherent; an order of magnitude would mean the
@@ -226,12 +223,11 @@ def test_supply_priced_grid_closed_loop_year():
     """Carbon leg: priced closed-loop site-year vs the flat budget.
 
     The third CI gate.  A constant-price ``always``-policy
-    ``PricedGridPower`` is the bitwise degenerate twin of
-    ``GridFirmPower`` (pinned in ``tests/test_supply_pricing.py``), so
-    the runs are result-identical and the comparison isolates the
-    ledger cost: accumulating cost/carbon alongside the budget draw
-    must stay within 10% of the flat-budget closed-loop year
-    (+0.5s noise floor).
+    ``PricedGridPower`` is bitwise identical to an unpriced one (a flat
+    budget; pinned in ``tests/test_supply_pricing.py``), so the runs
+    are result-identical and the comparison isolates the ledger cost:
+    accumulating cost/carbon alongside the budget draw must stay within
+    10% of the flat-budget closed-loop year (+0.5s noise floor).
     """
     grid = grid_days(YEAR_START, 365)
     config = DatacenterConfig()
@@ -258,7 +254,7 @@ def test_supply_priced_grid_closed_loop_year():
         ).run(requests, engine="soa")
 
     flat, flat_s = _time_once(
-        lambda: run(GridFirmPower(budget_mwh=2000.0, max_power_mw=50.0))
+        lambda: run(PricedGridPower(budget_mwh=2000.0, max_power_mw=50.0))
     )
     priced, priced_s = _time_once(
         lambda: run(

@@ -108,7 +108,6 @@ from .sim import (
 from . import obs
 from .supply import (
     BatteryDispatch,
-    GridFirmPower,
     PricedGridPower,
     SupplySpec,
     SupplyStack,
@@ -185,7 +184,6 @@ __all__ = [
     "summarize_transfers",
     "obs",
     "BatteryDispatch",
-    "GridFirmPower",
     "PricedGridPower",
     "SupplySpec",
     "SupplyStack",

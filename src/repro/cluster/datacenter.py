@@ -413,7 +413,7 @@ class EngineState:
         span_precompute: Whole-run base-power, round-trip, clipped and
             budget series a closed-loop run's pinned windows commit
             (built by the first :meth:`Datacenter.advance`); reset to
-            ``None`` whenever the trace or the prices behind it change.
+            ``None`` whenever the trace values behind it change.
     """
 
     n: int
@@ -971,7 +971,8 @@ class Datacenter:
     ) -> tuple[float | None, float | None]:
         """Budget wake thresholds translated to delivered-norm space.
 
-        Returns ``(lo_norm, up_norm)`` for the closed-loop span kernel:
+        Returns ``(lo_norm, up_norm)`` for
+        :meth:`~repro.supply.SupplyDispatcher.advance_span`:
         a clipped delivered power below ``lo_norm`` means the budget
         would drop below running cores, one at or above ``up_norm``
         means it could resume or launch work.  Thresholds are the exact
@@ -1091,9 +1092,9 @@ class Datacenter:
 
         Windows are clamped at ``until``; the next segment dispatches
         its first step as a wake, which is harmless (a wake at a
-        provably no-op step changes nothing) and bit-identical (the
-        scalar dispatch, the span kernel, and the vectorized pinned
-        fill are pinned equal).
+        provably no-op step changes nothing) and bit-identical
+        (``advance_span`` is a loop of ``dispatch`` calls, and the
+        vectorized pinned fill is pinned equal to them).
         """
         site = state.kernel
         cols = state.cols
@@ -1116,8 +1117,8 @@ class Datacenter:
         norm_for_cores = self.power_model.norm_for_cores
         dispatch = dispatcher.dispatch
         capacity = dispatcher.capacity_mw
-        # A span-kernel crossing has already dispatched its step; the
-        # delivered value is handed to the wake iteration via
+        # An ``advance_span`` crossing has already dispatched its step;
+        # the delivered value is handed to the wake iteration via
         # ``pending`` instead of dispatching twice.
         pending: float | None = None
         while step < until:
@@ -1156,9 +1157,8 @@ class Datacenter:
             pinned_deficit = dispatcher.pinned(False)
             if not pinned_surplus and not pinned_deficit:
                 # Live stack: component state moves every step, so the
-                # window cannot be skipped — but it can run as one
-                # scalar span (inlined component arithmetic, telemetry
-                # flushed in bulk) that halts at the first wake-
+                # window cannot be skipped — it is dispatched step by
+                # step in one span that halts at the first wake-
                 # threshold crossing.  Only crossings execute the step;
                 # every other step is a provable no-op whose columns
                 # forward-fill below.

@@ -9,7 +9,7 @@ moves every site forward by a wall of grid steps through the same
 ``status()`` projects the partially-filled columns, and
 ``checkpoint()`` / :meth:`SimSession.restore` / ``fork()`` serialize
 the whole mid-flight state (kernel cursors and arrays, supply-dispatcher
-lanes, partially-filled :class:`~repro.cluster.StepColumns`, the
+states, partially-filled :class:`~repro.cluster.StepColumns`, the
 injection RNG) so an interrupted run resumes golden-identical to an
 uninterrupted one.
 
@@ -19,8 +19,9 @@ are provably stale; open-loop crossing scans depend only on state that
 cannot change across a skipped window, so a scan split at the boundary
 finds the same first hit; and the closed loop re-enters by dispatching
 the boundary step as a wake — harmless (a wake at a provably no-op step
-changes nothing) and bit-identical (the scalar dispatch, the span
-kernel, and the vectorized pinned fill are pinned equal).
+changes nothing) and bit-identical (a dispatch window is a loop of
+per-step dispatches, and the vectorized pinned fill is pinned equal to
+them).
 
 Failure/supply injections (:meth:`SimSession.inject`) queue until the
 next ``advance`` and are recorded in the append-only :attr:`audit` log,
@@ -29,6 +30,7 @@ following the RackMind dc-simulator pattern.
 
 from __future__ import annotations
 
+import copy
 import pickle
 from typing import Sequence
 
@@ -38,16 +40,12 @@ from .. import obs
 from ..cluster import Datacenter, SimulationResult
 from ..errors import SessionError
 from ..sim.fleet import FleetSite
-from ..supply.components import (
-    BatteryDispatch,
-    GridFirmPower,
-    PricedGridPower,
-)
+from ..supply.components import BatteryDispatch, PricedGridPower
 
 __all__ = ["SimSession", "SessionError"]
 
 #: Version tag leading every checkpoint blob; bumped on layout changes.
-CHECKPOINT_FORMAT = "repro-session/2"
+CHECKPOINT_FORMAT = "repro-session/3"
 
 #: Injection kinds :meth:`SimSession.inject` accepts.
 INJECT_KINDS = ("battery_soc", "grid_budget", "blackout", "spot_price")
@@ -103,7 +101,7 @@ class _SiteEngine:
         for component, st in zip(
             dispatcher.components, dispatcher.states
         ):
-            if not isinstance(component, GridFirmPower):
+            if not isinstance(component, PricedGridPower):
                 continue
             value = (
                 st.remaining_mwh + delta_mwh
@@ -124,9 +122,8 @@ class _SiteEngine:
         """Scale and/or shift spot prices over ``[start, stop)``.
 
         Closed loop only: every :class:`PricedGridPower` component's
-        price series mutates in place, the dispatcher's caches
-        invalidate, and the cached span precompute is dropped (the next
-        advance rebuilds it), so threshold/dvb policies see the shock
+        price series mutates in place (the session's own copy), and
+        dispatch reads it live, so threshold/dvb policies see the shock
         from the next dispatch on.  Returns priced components touched.
         """
         state = self.state
@@ -149,18 +146,15 @@ class _SiteEngine:
             if delta_per_mwh is not None:
                 prices[start:stop] += float(delta_per_mwh)
             touched += 1
-        if touched:
-            dispatcher.invalidate_base_cache()
-            state.span_precompute = None
         return touched
 
     def blackout(self, start: int, stop: int) -> int:
         """Zero the site's power over ``[start, stop)``; returns width.
 
-        Closed loop: the trace values themselves go dark (the
-        dispatcher's caches and the cached span precompute are
-        dropped), so batteries drain into the outage.  Open loop: the
-        precomputed delivered/budget series go dark directly.
+        Closed loop: the trace values themselves go dark (the session's
+        own copy, read live by dispatch; the cached pinned-window
+        series are dropped), so batteries drain into the outage.  Open
+        loop: the precomputed delivered/budget series go dark directly.
         """
         state = self.state
         stop = min(stop, state.n)
@@ -169,7 +163,6 @@ class _SiteEngine:
             return 0
         if state.closed:
             self.dc.power_trace.values[start:stop] = 0.0
-            state.dispatcher.invalidate_base_cache()
             state.span_precompute = None
         else:
             state.budgets[start:stop] = 0
@@ -223,10 +216,14 @@ class SimSession:
         self.engine = engine
         self._sites = []
         for site in sites:
+            # Injections write into the trace values and price series in
+            # place; the session runs its own copies so the caller's
+            # sites (and other sessions built over them) stay untouched.
+            trace, supply = copy.deepcopy((site.trace, site.supply))
             datacenter = Datacenter(
                 site.config,
-                site.trace,
-                supply=site.supply,
+                trace,
+                supply=supply,
                 supply_mode=site.supply_mode,
                 record_events=record_events,
             )
@@ -500,7 +497,7 @@ class SimSession:
 
         One pickle of the live object graph — engine states and step
         kernels (with the trace aliased between datacenter and
-        dispatcher intact), supply-dispatcher lanes, partially-filled
+        dispatcher intact), supply-dispatcher states, partially-filled
         columns, event logs, RNG, audit log — behind a versioned
         envelope.  A session restored from the blob (same process or
         another one) continues bit-identically.

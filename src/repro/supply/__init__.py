@@ -7,16 +7,15 @@ budgets through its own path now shares this one:
   over a base :class:`~repro.traces.PowerTrace`, with open-loop
   (precomputed series) and closed-loop (per-step demand-driven)
   evaluation producing :class:`SupplyEvaluation` telemetry.
-- :class:`BatteryDispatch` / :class:`GridFirmPower` /
-  :class:`PricedGridPower` — stateful top-ups with SoC / budget /
-  cost-and-carbon dynamics.
+- :class:`BatteryDispatch` / :class:`PricedGridPower` — stateful
+  top-ups with SoC / budget / cost-and-carbon dynamics; each
+  component's ``step`` is the only copy of its dispatch arithmetic.
 - :class:`SupplyDispatcher` — closed-loop dispatch of one stack
   against one site's live demand: :meth:`~SupplyDispatcher.dispatch`
-  per step, and the :meth:`~SupplyDispatcher.advance_span` kernel over
-  a constant-demand window (bit-identical to per-step dispatch).  Every
-  closed-loop site, fleet members included, runs this scalar kernel; a
-  vectorized ``(S,)``-lane fleet dispatcher lost to it at every fleet
-  size measured and was removed.
+  per step, and :meth:`~SupplyDispatcher.advance_span`, a loop of
+  those dispatches over a constant-demand window that halts at the
+  first wake-threshold crossing.  Every closed-loop site, fleet
+  members included, runs it.
 - :class:`SupplySpec` — the serializable, content-hashable form used
   by `experiments.Scenario` and the CLI.
 """
@@ -25,8 +24,6 @@ from .components import (
     GRID_POLICIES,
     BatteryDispatch,
     BatteryState,
-    GridBudgetState,
-    GridFirmPower,
     PricedGridPower,
     PricedGridState,
     SupplyComponent,
@@ -44,8 +41,6 @@ __all__ = [
     "BatteryState",
     "DEFAULT_BATTERY_HOURS",
     "GRID_POLICIES",
-    "GridBudgetState",
-    "GridFirmPower",
     "NO_SUPPLY",
     "PricedGridPower",
     "PricedGridState",

@@ -27,12 +27,12 @@ import numpy as np
 from ..errors import ConfigurationError
 
 #: Purchase policies a :class:`PricedGridPower` can apply at dispatch
-#: time.  ``always`` buys whenever there is a deficit and budget (the
-#: flat-budget behavior of :class:`GridFirmPower`); ``threshold``
-#: buys only when the step's price and carbon intensity are at or
-#: below the configured caps; ``dvb`` runs the dynamic-virtual-battery
-#: online policy (arXiv 2404.19387): the acceptable price rises as the
-#: virtual battery drains, so urgency grows with deferred deficits.
+#: time.  ``always`` buys whenever there is a deficit and budget (a
+#: flat budget); ``threshold`` buys only when the step's price and
+#: carbon intensity are at or below the configured caps; ``dvb`` runs
+#: the dynamic-virtual-battery online policy (arXiv 2404.19387): the
+#: acceptable price rises as the virtual battery drains, so urgency
+#: grows with deferred deficits.
 GRID_POLICIES = ("always", "threshold", "dvb")
 
 
@@ -49,7 +49,7 @@ class SupplyComponent(Protocol):
 
     State records returned by :meth:`initial_state` should expose
     ``to_dict()`` / ``from_dict()`` snapshots (as the shipped
-    :class:`BatteryState` / :class:`GridBudgetState` do): a JSON-ready
+    :class:`BatteryState` / :class:`PricedGridState` do): a JSON-ready
     form a non-pickle checkpoint can serialize and rebuild without
     poking attributes ad hoc.
     """
@@ -172,7 +172,7 @@ class BatteryDispatch:
         deficit_mw = min(-balance_mw, self.max_power_mw)
         deliverable_mwh = state.soc_mwh * self.efficiency
         discharge_mwh = min(deficit_mw * step_hours, deliverable_mwh)
-        state.soc_mwh -= discharge_mwh / self.efficiency if self.efficiency else 0.0
+        state.soc_mwh -= discharge_mwh / self.efficiency
         return discharge_mwh / step_hours
 
     def pinned(self, state: BatteryState, surplus: bool) -> bool:
@@ -199,88 +199,14 @@ class BatteryDispatch:
         )
 
 
-class GridBudgetState:
-    """Remaining purchasable energy for one :class:`GridFirmPower` run."""
-
-    __slots__ = ("remaining_mwh",)
-
-    def __init__(self, remaining_mwh: float):
-        self.remaining_mwh = remaining_mwh
-
-    def to_dict(self) -> dict:
-        """JSON-ready snapshot, inverted by :meth:`from_dict`."""
-        return {"remaining_mwh": self.remaining_mwh}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridBudgetState":
-        """Rebuild a state snapshotted by :meth:`to_dict`."""
-        return cls(float(data["remaining_mwh"]))
-
-
-@dataclass(frozen=True)
-class GridFirmPower:
-    """A firm grid purchase: a finite energy budget drawn on deficits.
-
-    The in-loop, causal counterpart of the offline waterfilling in
-    :mod:`repro.multisite.battery` — it spends the budget
-    chronologically as deficits arrive (no future knowledge), so its
-    leverage lower-bounds what the offline allocator achieves.
-
-    Attributes:
-        budget_mwh: Total energy purchasable over the run.
-        max_power_mw: Import power limit; unlimited when ``None``.
-    """
-
-    budget_mwh: float
-    max_power_mw: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.budget_mwh < 0:
-            raise ConfigurationError(
-                f"budget must be >= 0: {self.budget_mwh}"
-            )
-        if self.max_power_mw is not None and self.max_power_mw <= 0:
-            raise ConfigurationError(
-                f"power limit must be positive: {self.max_power_mw}"
-            )
-
-    def initial_state(self) -> GridBudgetState:
-        """Fresh budget counter."""
-        return GridBudgetState(self.budget_mwh)
-
-    def step(
-        self,
-        state: GridBudgetState,
-        balance_mw: float,
-        step_hours: float,
-        t: int = 0,
-    ) -> float:
-        """Fill a deficit from the remaining budget; never absorbs."""
-        if balance_mw >= 0.0 or state.remaining_mwh <= 0.0:
-            return 0.0
-        draw_mw = -balance_mw
-        if self.max_power_mw is not None:
-            draw_mw = min(draw_mw, self.max_power_mw)
-        draw_mwh = min(draw_mw * step_hours, state.remaining_mwh)
-        state.remaining_mwh -= draw_mwh
-        return draw_mwh / step_hours
-
-    def pinned(self, state: GridBudgetState, surplus: bool) -> bool:
-        """Never absorbs surplus; an exhausted budget ignores deficits."""
-        if surplus:
-            return True
-        return state.remaining_mwh <= 0.0
-
-
-class PricedGridState(GridBudgetState):
+class PricedGridState:
     """Budget plus cumulative cost/carbon for one :class:`PricedGridPower` run.
 
-    Extends :class:`GridBudgetState` (so budget-poking callers keep
-    working) with the purchase ledger and the dvb policy's virtual
-    battery level.
+    Carries the remaining purchasable energy, the purchase ledger, and
+    the dvb policy's virtual battery level.
     """
 
-    __slots__ = ("cost_usd", "carbon_kg", "virtual_mwh")
+    __slots__ = ("remaining_mwh", "cost_usd", "carbon_kg", "virtual_mwh")
 
     def __init__(
         self,
@@ -289,7 +215,7 @@ class PricedGridState(GridBudgetState):
         carbon_kg: float = 0.0,
         virtual_mwh: float = 0.0,
     ):
-        super().__init__(remaining_mwh)
+        self.remaining_mwh = remaining_mwh
         self.cost_usd = cost_usd
         self.carbon_kg = carbon_kg
         self.virtual_mwh = virtual_mwh
@@ -315,18 +241,23 @@ class PricedGridState(GridBudgetState):
 
 
 @dataclass(frozen=True, eq=False)
-class PricedGridPower(GridFirmPower):
-    """A grid purchase priced and carbon-accounted per step.
+class PricedGridPower:
+    """A firm grid purchase: a finite energy budget drawn on deficits.
 
-    Generalizes :class:`GridFirmPower`: each step carries a wholesale
-    price and a carbon intensity, every MWh drawn accrues cost and
-    emissions in the state ledger, and a purchase *policy* may decline
-    a buy when the step is expensive or dirty.  With ``policy="always"``
-    and any price series, the energy arithmetic is operation-for-
-    operation identical to :class:`GridFirmPower` — the flat-budget
-    behavior is the bitwise degenerate case the golden tests pin.
+    The in-loop, causal counterpart of the offline waterfilling in
+    :mod:`repro.multisite.battery` — it spends the budget
+    chronologically as deficits arrive (no future knowledge), so its
+    leverage lower-bounds what the offline allocator achieves.
+
+    Each step may carry a wholesale price and a carbon intensity: every
+    MWh drawn accrues cost and emissions in the state ledger, and a
+    purchase *policy* may decline a buy when the step is expensive or
+    dirty.  Without price or carbon series and with the ``always``
+    policy, the component is a flat budget whose ledger stays at zero.
 
     Attributes:
+        budget_mwh: Total energy purchasable over the run.
+        max_power_mw: Import power limit; unlimited when ``None``.
         price_per_mwh: Per-step price, aligned to the dispatch grid;
             ``None`` means free (price 0 everywhere).
         carbon_per_mwh: Per-step carbon intensity in kgCO2/MWh
@@ -343,6 +274,8 @@ class PricedGridPower(GridFirmPower):
             threshold interpolates theta-low → theta-high as it drains.
     """
 
+    budget_mwh: float
+    max_power_mw: float | None = None
     price_per_mwh: np.ndarray | None = None
     carbon_per_mwh: np.ndarray | None = None
     policy: str = "always"
@@ -352,7 +285,14 @@ class PricedGridPower(GridFirmPower):
     dvb_capacity_mwh: float = 0.0
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        if self.budget_mwh < 0:
+            raise ConfigurationError(
+                f"budget must be >= 0: {self.budget_mwh}"
+            )
+        if self.max_power_mw is not None and self.max_power_mw <= 0:
+            raise ConfigurationError(
+                f"power limit must be positive: {self.max_power_mw}"
+            )
         if self.policy not in GRID_POLICIES:
             raise ConfigurationError(
                 f"unknown grid policy {self.policy!r}; expected one of"
@@ -421,13 +361,7 @@ class PricedGridPower(GridFirmPower):
         step_hours: float,
         t: int = 0,
     ) -> float:
-        """Fill a deficit when the policy accepts the step's price.
-
-        The deficit/budget guards, draw arithmetic, and budget update
-        replicate :meth:`GridFirmPower.step` operation for operation;
-        only the policy gate and the ledger updates are new, so the
-        ``always`` policy is a bit-exact superset of the flat budget.
-        """
+        """Fill a deficit when the policy buys at this step; never absorbs."""
         if balance_mw >= 0.0 or state.remaining_mwh <= 0.0:
             return 0.0
         price = (
@@ -459,7 +393,14 @@ class PricedGridPower(GridFirmPower):
             )
         return draw_mwh / step_hours
 
-    # ``pinned`` is inherited: a surplus never engages the component,
-    # and an exhausted budget makes ``step`` return before any ledger
-    # or virtual-battery mutation — both provable no-ops even though
-    # prices vary and dvb state otherwise moves on declined deficits.
+    def pinned(self, state: PricedGridState, surplus: bool) -> bool:
+        """Never absorbs surplus; an exhausted budget ignores deficits.
+
+        An exhausted budget makes :meth:`step` return before any ledger
+        or virtual-battery mutation, so it is a provable no-op even
+        though prices vary and dvb state otherwise moves on declined
+        deficits.
+        """
+        if surplus:
+            return True
+        return state.remaining_mwh <= 0.0

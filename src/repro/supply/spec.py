@@ -18,7 +18,6 @@ from ..traces import CarbonIntensityTrace, PowerTrace, SpotPriceTrace
 from .components import (
     GRID_POLICIES,
     BatteryDispatch,
-    GridFirmPower,
     PricedGridPower,
     SupplyComponent,
 )
@@ -29,9 +28,9 @@ from .stack import SupplyStack
 #: series against the firming target (what the scheduler always uses).
 SUPPLY_MODES = ("closed", "open")
 
-#: Price-trace synthesizers a spec can name.  ``none`` keeps the grid
-#: component flat (plain :class:`GridFirmPower`); the rest map to
-#: :class:`~repro.traces.SpotPriceTrace` constructors.
+#: Price-trace synthesizers a spec can name.  ``none`` leaves the grid
+#: unpriced (a :class:`PricedGridPower` without a price series); the
+#: rest map to :class:`~repro.traces.SpotPriceTrace` constructors.
 PRICE_TRACES = ("none", "constant", "double_peak", "merit_order")
 
 #: Carbon-trace synthesizers: ``daily`` is the UK-realistic 140–280
@@ -66,8 +65,7 @@ class SupplySpec:
         target_fraction: Open-loop firming target as a fraction of
             mean generation.
         price_trace: Spot-price synthesizer (:data:`PRICE_TRACES`);
-            anything but ``"none"`` upgrades the grid component to a
-            :class:`PricedGridPower`.
+            anything but ``"none"`` prices the grid component.
         carbon_trace: Carbon-intensity synthesizer
             (:data:`CARBON_TRACES`); idem.
         price_per_mwh: Level for ``price_trace="constant"``.
@@ -199,14 +197,8 @@ class SupplySpec:
                 )
             )
         if self.grid_budget_mwh > 0:
-            if not self.priced:
-                parts.append(
-                    GridFirmPower(
-                        budget_mwh=self.grid_budget_mwh,
-                        max_power_mw=self.grid_power_mw,
-                    )
-                )
-            else:
+            signals: dict = {}
+            if self.priced:
                 if trace is None:
                     raise ConfigurationError(
                         "a priced supply spec needs the base trace to"
@@ -214,14 +206,6 @@ class SupplySpec:
                         " to components()/build()"
                     )
                 price, carbon = self.grid_signals(trace)
-                pth = (
-                    np.inf if self.price_threshold is None
-                    else self.price_threshold
-                )
-                cth = (
-                    np.inf if self.carbon_threshold is None
-                    else self.carbon_threshold
-                )
                 vcap = 0.0
                 if self.grid_policy == "dvb":
                     vcap = (
@@ -229,22 +213,27 @@ class SupplySpec:
                         if self.dvb_virtual_mwh is None
                         else self.dvb_virtual_mwh
                     )
-                parts.append(
-                    PricedGridPower(
-                        budget_mwh=self.grid_budget_mwh,
-                        max_power_mw=self.grid_power_mw,
-                        price_per_mwh=(
-                            None if price is None else price.values
-                        ),
-                        carbon_per_mwh=(
-                            None if carbon is None else carbon.values
-                        ),
-                        policy=self.grid_policy,
-                        price_threshold=float(pth),
-                        carbon_threshold=float(cth),
-                        dvb_capacity_mwh=vcap,
-                    )
+                signals = dict(
+                    price_per_mwh=None if price is None else price.values,
+                    carbon_per_mwh=(
+                        None if carbon is None else carbon.values
+                    ),
+                    policy=self.grid_policy,
+                    price_threshold=float(
+                        np.inf if self.price_threshold is None
+                        else self.price_threshold
+                    ),
+                    carbon_threshold=float(
+                        np.inf if self.carbon_threshold is None
+                        else self.carbon_threshold
+                    ),
+                    dvb_capacity_mwh=vcap,
                 )
+            parts.append(
+                PricedGridPower(
+                    self.grid_budget_mwh, self.grid_power_mw, **signals
+                )
+            )
         return tuple(parts)
 
     def build(self, trace: PowerTrace | None = None) -> SupplyStack:

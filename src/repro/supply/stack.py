@@ -23,8 +23,10 @@ what the site can use) and discharges into real dips (generation below
 what is running).  Storage interacting with load in the loop is what
 the open-loop analysis cannot express — the point of this layer.
 
-Both modes fill a :class:`SupplyEvaluation`: per-step delivered power
-plus SoC / charge / discharge / grid-import / curtailment columns.
+Both modes run one settle loop over the component chain
+(:meth:`SupplyDispatcher._settle`) and fill a :class:`SupplyEvaluation`:
+per-step delivered power plus SoC / charge / discharge / grid-import /
+curtailment / cost / carbon columns.
 """
 
 from __future__ import annotations
@@ -37,17 +39,7 @@ import numpy as np
 from .. import obs
 from ..errors import ConfigurationError
 from ..traces import PowerTrace
-from .components import (
-    GRID_POLICIES,
-    BatteryDispatch,
-    GridFirmPower,
-    PricedGridPower,
-    SupplyComponent,
-)
-
-#: Integer policy codes for the span kernel's plan rows (0: always,
-#: 1: threshold, 2: dvb — index order of :data:`GRID_POLICIES`).
-_GRID_POLICY_CODES = {name: i for i, name in enumerate(GRID_POLICIES)}
+from .components import BatteryDispatch, PricedGridPower, SupplyComponent
 
 
 class SupplyEvaluation:
@@ -63,8 +55,8 @@ class SupplyEvaluation:
         curtailed_mwh: Surplus neither used nor stored per step
             (meaningful in closed loop, where demand is known; open
             loop passes surplus through to the cluster and records 0).
-        cost_usd: Grid purchase cost per step (priced grids only; the
-            flat :class:`GridFirmPower` records 0).
+        cost_usd: Grid purchase cost per step (0 for an unpriced
+            grid).
         carbon_kg: Grid purchase emissions per step (idem).
     """
 
@@ -164,12 +156,18 @@ class SupplyEvaluation:
 
 
 class SupplyDispatcher:
-    """Closed-loop per-step dispatch of one stack against one trace.
+    """Per-step dispatch of one stack against one trace.
 
-    Created by :meth:`SupplyStack.dispatcher`; the simulator calls
-    :meth:`dispatch` once per processed step, in step order, with its
-    current normalized demand.  All telemetry accumulates into
-    :attr:`evaluation`.
+    Created by :meth:`SupplyStack.dispatcher` for the closed loop: the
+    simulator calls :meth:`dispatch` once per processed step, in step
+    order, with its current demand.  The open loop
+    (:meth:`SupplyStack.evaluate_open_loop`) runs the same component
+    chain through :meth:`_settle` against its firming target.  All
+    telemetry accumulates into :attr:`evaluation`.
+
+    Generation, prices and carbon are read from the live trace and
+    component arrays at every step, so an in-place change to them (a
+    session injection) is seen from the next dispatch on.
     """
 
     def __init__(self, stack: "SupplyStack", trace: PowerTrace):
@@ -180,16 +178,8 @@ class SupplyDispatcher:
         self._step_hours = trace.grid.step_hours
         # Un-dispatched steps (none, in a full run) default to base.
         self.evaluation = SupplyEvaluation(np.array(trace.values))
-        # Span kernel support: the scalar window loop specializes the
-        # shipped component types; anything else (subclasses too —
-        # their ``step`` may differ) falls back to per-step dispatch.
-        self._span_specialized = all(
-            type(c) in (BatteryDispatch, GridFirmPower, PricedGridPower)
-            for c in stack.components
-        )
         n = trace.grid.n
-        self._priced_series: dict[int, tuple[list | None, list | None]] = {}
-        for k, c in enumerate(stack.components):
+        for c in stack.components:
             if isinstance(c, PricedGridPower):
                 for series in (c.price_per_mwh, c.carbon_per_mwh):
                     if series is not None and len(series) < n:
@@ -197,45 +187,57 @@ class SupplyDispatcher:
                             f"priced grid series has {len(series)} steps"
                             f" but the trace has {n}"
                         )
-        self._rebuild_priced_series()
-        self._values_list: list[float] | None = None
-
-    def _rebuild_priced_series(self) -> None:
-        # Python-float copies for the span kernel's inner loop (same
-        # values bit for bit, no ndarray item overhead).
-        self._priced_series.clear()
-        for k, c in enumerate(self._components):
-            if isinstance(c, PricedGridPower):
-                self._priced_series[k] = (
-                    None if c.price_per_mwh is None
-                    else c.price_per_mwh.tolist(),
-                    None if c.carbon_per_mwh is None
-                    else c.carbon_per_mwh.tolist(),
-                )
 
     @property
     def components(self) -> tuple[SupplyComponent, ...]:
         """The stack's components, in dispatch order."""
         return self._components
 
-    def invalidate_base_cache(self) -> None:
-        """Drop caches derived from the base trace values or the
-        priced components' signal series.
-
-        The dispatcher reads generation through a live view of the
-        trace's value array, and the span kernel reads price/carbon
-        through Python-float copies of the component series; callers
-        that mutate either in place (session blackout or spot-price
-        injections) must invalidate so subsequent dispatches see the
-        new values.
-        """
-        self._values_list = None
-        self._rebuild_priced_series()
-
     @property
     def states(self) -> list[object]:
         """Mutable per-component dispatch states (same order)."""
         return self._states
+
+    def _settle(
+        self, step: int, base_mw: float, balance_mw: float
+    ) -> tuple[float, float]:
+        """Offer one step's power balance down the component chain.
+
+        Each component sees the balance the previous one left.  This is
+        the only writer of the per-step component telemetry: SoC,
+        charge, discharge, grid import, cost and carbon at ``step``.
+
+        Returns:
+            ``(delivered_mw, balance_mw)``: ``base_mw`` plus every
+            component's delta, and the balance left after the chain.
+        """
+        h = self._step_hours
+        ev = self.evaluation
+        delivered_mw = base_mw
+        soc_mwh = 0.0
+        for component, state in zip(self._components, self._states):
+            if isinstance(component, PricedGridPower):
+                cost_before = state.cost_usd
+                carbon_before = state.carbon_kg
+                delta_mw = component.step(state, balance_mw, h, step)
+                if delta_mw > 0.0:
+                    ev.grid_import_mwh[step] += delta_mw * h
+                    # The ledger's own increment, not draw × price
+                    # recomputed: the series then matches the state.
+                    ev.cost_usd[step] += state.cost_usd - cost_before
+                    ev.carbon_kg[step] += state.carbon_kg - carbon_before
+            else:
+                delta_mw = component.step(state, balance_mw, h, step)
+                if isinstance(component, BatteryDispatch):
+                    if delta_mw < 0.0:
+                        ev.charge_mwh[step] -= delta_mw * h
+                    elif delta_mw > 0.0:
+                        ev.discharge_mwh[step] += delta_mw * h
+                    soc_mwh += state.soc_mwh
+            balance_mw += delta_mw
+            delivered_mw += delta_mw
+        ev.soc_mwh[step] = soc_mwh
+        return delivered_mw, balance_mw
 
     def dispatch(self, step: int, demand_norm: float) -> float:
         """Deliver power for one step given the site's current demand.
@@ -250,41 +252,15 @@ class SupplyDispatcher:
             Normalized delivered power: base generation minus charging
             plus discharge / grid import.
         """
-        h = self._step_hours
         capacity = self._capacity_mw
         base_mw = float(self._values[step]) * capacity
         demand_norm = max(demand_norm, 0.0)
-        demand_mw = demand_norm * capacity
-        balance_mw = base_mw - demand_mw
+        balance_mw = base_mw - demand_norm * capacity
         covered = balance_mw >= 0.0
-        delivered_mw = base_mw
+        delivered_mw, balance_mw = self._settle(step, base_mw, balance_mw)
         ev = self.evaluation
-        soc_mwh = 0.0
-        for component, state in zip(self._components, self._states):
-            priced = type(component) is PricedGridPower
-            if priced:
-                cost_before = state.cost_usd
-                carbon_before = state.carbon_kg
-            delta_mw = component.step(state, balance_mw, h, step)
-            balance_mw += delta_mw
-            delivered_mw += delta_mw
-            if isinstance(component, BatteryDispatch):
-                if delta_mw < 0.0:
-                    ev.charge_mwh[step] -= delta_mw * h
-                elif delta_mw > 0.0:
-                    ev.discharge_mwh[step] += delta_mw * h
-                soc_mwh += state.soc_mwh
-            elif isinstance(component, GridFirmPower) and delta_mw > 0.0:
-                ev.grid_import_mwh[step] += delta_mw * h
-                if priced:
-                    # Snapshot-diff, not draw*price recomputed: every
-                    # engine forms the identical cumulative sequence,
-                    # so the per-step series match bit for bit.
-                    ev.cost_usd[step] += state.cost_usd - cost_before
-                    ev.carbon_kg[step] += state.carbon_kg - carbon_before
-        ev.soc_mwh[step] = soc_mwh
         if balance_mw > 0.0:
-            ev.curtailed_mwh[step] = balance_mw * h
+            ev.curtailed_mwh[step] = balance_mw * self._step_hours
         delivered = delivered_mw / capacity
         if covered and delivered < demand_norm:
             # Components only absorb on a surplus step, never below the
@@ -305,17 +281,12 @@ class SupplyDispatcher:
     ) -> tuple[list[float], bool]:
         """Dispatch a constant-demand window, halting at a wake crossing.
 
-        The closed-loop event engines know demand is constant between
-        site events, so a whole window of dispatches differs only in
-        the base generation — a tight scalar loop with the component
-        arithmetic inlined, instead of one :meth:`dispatch` call (and
-        five attribute hops) per step.  Steps ``start .. stop-1`` are
-        dispatched in order; the loop stops *after* the first step
-        whose clipped delivered power crosses the wake thresholds
-        (``< lo_norm``: the budget would drop below running cores;
-        ``>= up_norm``: it could resume or launch work).  Telemetry for
-        every dispatched step — including the crossing step — is
-        written exactly as :meth:`dispatch` would.
+        Steps ``start .. stop-1`` go through :meth:`dispatch` in order;
+        the loop stops *after* the first step whose clipped delivered
+        power crosses the wake thresholds (``< lo_norm``: the budget
+        would drop below running cores; ``>= up_norm``: it could resume
+        or launch work), or after the first step that leaves the stack
+        :meth:`pinned` for that step's balance sign.
 
         Args:
             start: First step to dispatch (inclusive).
@@ -333,245 +304,27 @@ class SupplyDispatcher:
             wake the caller must process).  A prefix shorter than the
             window with ``crossed=False`` means the stack went *idle* —
             pinned for the sign it was dispatching — and the caller
-            should resume after the prefix, where :meth:`pinned` now
-            holds and whole windows can vectorize.
+            should resume after the prefix, where whole windows of that
+            sign can vectorize.
         """
-        if stop <= start:
-            return [], False
         demand_norm = max(demand_norm, 0.0)
         lo = -np.inf if lo_norm is None else lo_norm
         up = np.inf if up_norm is None else up_norm
-        if not self._span_specialized:
-            return self._advance_span_generic(
-                start, stop, demand_norm, lo, up
-            )
-        h = self._step_hours
+        values = self._values
         capacity = self._capacity_mw
         demand_mw = demand_norm * capacity
-        vals = self._values_list
-        if vals is None:
-            vals = self._values_list = np.asarray(
-                self._values, dtype=float
-            ).tolist()
-        # (kind, mutable energy state, params...): battery rows carry
-        # [0, soc_mwh, capacity_mwh, max_power_mw, efficiency]; grid
-        # rows [1, remaining_mwh, max_power_mw-or-inf]; priced grid
-        # rows [2, remaining_mwh, max_power_mw-or-inf, policy_code,
-        # prices-or-None, carbons-or-None, price_threshold,
-        # carbon_threshold, theta_lo, virtual_mwh, vcap, cost_usd,
-        # carbon_kg].  min(x, inf) returns x bit-for-bit, so an
-        # unlimited grid needs no branch.
-        plan: list[list] = []
-        for k, (component, state) in enumerate(
-            zip(self._components, self._states)
-        ):
-            if type(component) is BatteryDispatch:
-                plan.append([
-                    0, state.soc_mwh, component.capacity_mwh,
-                    component.max_power_mw, component.efficiency,
-                ])
-            elif type(component) is PricedGridPower:
-                limit = component.max_power_mw
-                prices, carbons = self._priced_series[k]
-                plan.append([
-                    2, state.remaining_mwh,
-                    np.inf if limit is None else limit,
-                    _GRID_POLICY_CODES[component.policy],
-                    prices, carbons,
-                    component.price_threshold,
-                    component.carbon_threshold,
-                    component.dvb_theta_lo,
-                    state.virtual_mwh,
-                    component.dvb_capacity_mwh,
-                    state.cost_usd,
-                    state.carbon_kg,
-                ])
-            else:
-                limit = component.max_power_mw
-                plan.append([
-                    1, state.remaining_mwh,
-                    np.inf if limit is None else limit,
-                ])
-        del_buf: list[float] = []
-        soc_buf: list[float] = []
-        chg_buf: list[float] = []
-        dis_buf: list[float] = []
-        imp_buf: list[float] = []
-        cur_buf: list[float] = []
-        cst_buf: list[float] = []
-        car_buf: list[float] = []
-        crossed = False
-        for t in range(start, stop):
-            base_mw = vals[t] * capacity
-            balance = base_mw - demand_mw
-            covered = balance >= 0.0
-            delivered_mw = base_mw
-            soc_t = 0.0
-            chg_t = 0.0
-            dis_t = 0.0
-            imp_t = 0.0
-            cst_t = 0.0
-            car_t = 0.0
-            for row in plan:
-                if row[0] == 0:
-                    # BatteryDispatch.step, inlined operation for
-                    # operation (bit-identical accounting).
-                    soc = row[1]
-                    if balance >= 0.0:
-                        surplus_mw = min(balance, row[3])
-                        headroom_mwh = row[2] - soc
-                        charge_mwh = min(surplus_mw * h, headroom_mwh)
-                        row[1] = soc + charge_mwh
-                        delta = -charge_mwh / h
-                    else:
-                        deficit_mw = min(-balance, row[3])
-                        deliverable_mwh = soc * row[4]
-                        discharge_mwh = min(deficit_mw * h, deliverable_mwh)
-                        row[1] = soc - discharge_mwh / row[4]
-                        delta = discharge_mwh / h
-                    balance += delta
-                    delivered_mw += delta
-                    if delta < 0.0:
-                        chg_t -= delta * h
-                    elif delta > 0.0:
-                        dis_t += delta * h
-                    soc_t += row[1]
-                elif row[0] == 1:
-                    # GridFirmPower.step, inlined.
-                    remaining = row[1]
-                    if balance >= 0.0 or remaining <= 0.0:
-                        continue
-                    draw_mw = min(-balance, row[2])
-                    draw_mwh = min(draw_mw * h, remaining)
-                    row[1] = remaining - draw_mwh
-                    delta = draw_mwh / h
-                    balance += delta
-                    delivered_mw += delta
-                    if delta > 0.0:
-                        imp_t += delta * h
-                else:
-                    # PricedGridPower.step, inlined (policy gate, then
-                    # the GridFirmPower draw plus the ledger updates).
-                    remaining = row[1]
-                    if balance >= 0.0 or remaining <= 0.0:
-                        continue
-                    price = 0.0 if row[4] is None else row[4][t]
-                    carbon = 0.0 if row[5] is None else row[5][t]
-                    pol = row[3]
-                    if pol == 0:
-                        buy = True
-                    elif pol == 1:
-                        buy = price <= row[6] and carbon <= row[7]
-                    else:
-                        theta = row[8] + (row[6] - row[8]) * (
-                            1.0 - row[9] / row[10]
-                        )
-                        buy = price <= theta
-                    if not buy:
-                        if pol == 2:
-                            row[9] = max(row[9] - (-balance) * h, 0.0)
-                        continue
-                    draw_mw = min(-balance, row[2])
-                    draw_mwh = min(draw_mw * h, remaining)
-                    row[1] = remaining - draw_mwh
-                    cost0 = row[11]
-                    carbon0 = row[12]
-                    row[11] = cost0 + draw_mwh * price
-                    row[12] = carbon0 + draw_mwh * carbon
-                    if pol == 2:
-                        row[9] = min(row[9] + draw_mwh, row[10])
-                    delta = draw_mwh / h
-                    balance += delta
-                    delivered_mw += delta
-                    if delta > 0.0:
-                        imp_t += delta * h
-                        # Snapshot-diff, as dispatch() accounts it.
-                        cst_t += row[11] - cost0
-                        car_t += row[12] - carbon0
-            soc_buf.append(soc_t)
-            chg_buf.append(chg_t)
-            dis_buf.append(dis_t)
-            imp_buf.append(imp_t)
-            cst_buf.append(cst_t)
-            car_buf.append(car_t)
-            cur_buf.append(balance * h if balance > 0.0 else 0.0)
-            delivered = delivered_mw / capacity
-            if covered and delivered < demand_norm:
-                delivered = demand_norm  # the ulp clamp, as dispatch()
-            del_buf.append(delivered)
-            clipped = delivered
-            if clipped < 0.0:
-                clipped = 0.0
-            elif clipped > 1.0:
-                clipped = 1.0
-            if clipped < lo or clipped >= up:
-                crossed = True
-                break
-            if delivered_mw == base_mw and t + 1 < stop:
-                # Idle probe: no component moved this step (deltas
-                # never cancel — charging and importing cannot coexist
-                # in one step — so an unchanged delivered power means
-                # every delta was zero).  If on top of that every
-                # component is *pinned* for this step's balance sign,
-                # all further dispatches of that sign are provable
-                # no-ops: return the prefix early (not a crossing) so
-                # the engine's vectorized pinned-window path skips the
-                # rest of the window instead of grinding it here.  The
-                # bound tests mirror ``pinned()`` exactly, so the
-                # engine's re-check agrees and cannot bounce back.
-                for row in plan:
-                    if row[0] == 0:
-                        if covered:
-                            if row[2] - row[1] != 0.0:
-                                break
-                        elif row[1] * row[4] != 0.0 or row[1] < 0.0:
-                            break
-                    elif not covered and row[1] > 0.0:
-                        break
-                else:
-                    break
-        # Sync the component states the inlined loop advanced.
-        for row, state in zip(plan, self._states):
-            if row[0] == 0:
-                state.soc_mwh = row[1]
-            elif row[0] == 1:
-                state.remaining_mwh = row[1]
-            else:
-                state.remaining_mwh = row[1]
-                state.virtual_mwh = row[9]
-                state.cost_usd = row[11]
-                state.carbon_kg = row[12]
-        end = start + len(del_buf)
-        ev = self.evaluation
-        ev.delivered[start:end] = del_buf
-        ev.soc_mwh[start:end] = soc_buf
-        ev.charge_mwh[start:end] = chg_buf
-        ev.discharge_mwh[start:end] = dis_buf
-        ev.grid_import_mwh[start:end] = imp_buf
-        ev.curtailed_mwh[start:end] = cur_buf
-        ev.cost_usd[start:end] = cst_buf
-        ev.carbon_kg[start:end] = car_buf
-        return del_buf, crossed
-
-    def _advance_span_generic(
-        self, start: int, stop: int, demand_norm: float,
-        lo: float, up: float,
-    ) -> tuple[list[float], bool]:
-        """Per-step :meth:`dispatch` fallback for exotic components.
-
-        Same contract as :meth:`advance_span`; used when a component is
-        not exactly one of the two shipped types (subclasses included —
-        an overridden ``step`` would invalidate the inlined arithmetic).
-        """
-        del_buf: list[float] = []
         dispatch = self.dispatch
+        pinned = self.pinned
+        deliveries: list[float] = []
         for t in range(start, stop):
             delivered = dispatch(t, demand_norm)
-            del_buf.append(delivered)
+            deliveries.append(delivered)
             clipped = min(max(delivered, 0.0), 1.0)
             if clipped < lo or clipped >= up:
-                return del_buf, True
-        return del_buf, False
+                return deliveries, True
+            if pinned(float(values[t]) * capacity >= demand_mw):
+                break
+        return deliveries, False
 
     # ------------------------------------------------------------------
     # Skip-ahead support (the closed-loop event engines)
@@ -581,11 +334,6 @@ class SupplyDispatcher:
     def capacity_mw(self) -> float:
         """The bound trace's capacity scale (MW at normalized 1.0)."""
         return self._capacity_mw
-
-    @property
-    def step_hours(self) -> float:
-        """The bound grid's step length in hours."""
-        return self._step_hours
 
     def base_mw_series(self) -> np.ndarray:
         """Base generation in MW per step, computed elementwise.
@@ -698,49 +446,17 @@ class SupplyStack:
             n_steps=trace.grid.n,
             n_components=len(self.components),
         ):
-            h = trace.grid.step_hours
-            capacity = trace.capacity_mw
+            dispatcher = SupplyDispatcher(self, trace)
+            settle = dispatcher._settle
             generation = trace.power_mw()
             target_mw = self.target_fraction * float(generation.mean())
-            states = [c.initial_state() for c in self.components]
             delivered_mw = np.empty(len(generation))
-            ev = SupplyEvaluation(delivered_mw)  # filled below
-            batteries = [
-                isinstance(c, BatteryDispatch) for c in self.components
-            ]
-            grids = [isinstance(c, GridFirmPower) for c in self.components]
-            priced = [
-                type(c) is PricedGridPower for c in self.components
-            ]
             for i, gen in enumerate(generation):
-                balance_mw = gen - target_mw
-                out_mw = gen
-                soc_mwh = 0.0
-                for j, (component, state) in enumerate(
-                    zip(self.components, states)
-                ):
-                    if priced[j]:
-                        cost_before = state.cost_usd
-                        carbon_before = state.carbon_kg
-                    delta_mw = component.step(state, balance_mw, h, i)
-                    balance_mw += delta_mw
-                    out_mw += delta_mw
-                    if batteries[j]:
-                        if delta_mw < 0.0:
-                            ev.charge_mwh[i] -= delta_mw * h
-                        elif delta_mw > 0.0:
-                            ev.discharge_mwh[i] += delta_mw * h
-                        soc_mwh += state.soc_mwh
-                    elif grids[j] and delta_mw > 0.0:
-                        ev.grid_import_mwh[i] += delta_mw * h
-                        if priced[j]:
-                            ev.cost_usd[i] += state.cost_usd - cost_before
-                            ev.carbon_kg[i] += (
-                                state.carbon_kg - carbon_before
-                            )
-                ev.soc_mwh[i] = soc_mwh
-                delivered_mw[i] = out_mw
-            ev.delivered = np.clip(delivered_mw / capacity, 0.0, 1.0)
+                delivered_mw[i], _ = settle(i, gen, gen - target_mw)
+            ev = dispatcher.evaluation
+            ev.delivered = np.clip(
+                delivered_mw / trace.capacity_mw, 0.0, 1.0
+            )
         return ev
 
     def apply(self, trace: PowerTrace) -> PowerTrace:

@@ -31,7 +31,7 @@ from repro.experiments.cache import load_shared_traces, stage_shared_traces
 from repro.sim import FleetEngine, FleetSite
 from repro.sim.fleet import _NO_LOWER, _NO_UPPER, crossing_scan
 from repro.supply import SupplyEvaluation, SupplySpec, SupplyStack
-from repro.supply.components import BatteryDispatch, GridFirmPower
+from repro.supply.components import BatteryDispatch, PricedGridPower
 from repro.traces import PowerTrace
 from repro.units import TimeGrid, grid_days
 from repro.workload import VMClass, VMRequest, VMType
@@ -129,7 +129,7 @@ def battery_grid_stack() -> SupplyStack:
             BatteryDispatch(
                 capacity_mwh=2.5, max_power_mw=1.5, efficiency=0.9
             ),
-            GridFirmPower(budget_mwh=300.0, max_power_mw=1.0),
+            PricedGridPower(budget_mwh=300.0, max_power_mw=1.0),
         )
     )
 
@@ -464,7 +464,7 @@ class TestSharedMemoryTraces:
 
 def grid_stack() -> SupplyStack:
     return SupplyStack(
-        components=(GridFirmPower(budget_mwh=400.0, max_power_mw=1.5),)
+        components=(PricedGridPower(budget_mwh=400.0, max_power_mw=1.5),)
     )
 
 

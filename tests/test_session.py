@@ -280,6 +280,8 @@ class TestCheckpointRestore:
         with pytest.raises(SessionError):
             SimSession.restore(pickle.dumps({"format": "other/9"}))
         with pytest.raises(SessionError):
+            SimSession.restore(pickle.dumps({"format": "repro-session/2"}))
+        with pytest.raises(SessionError):
             SimSession.restore(pickle.dumps([1, 2, 3]))
 
 
@@ -411,6 +413,48 @@ class TestInjections:
         assert np.all(values[150:190] == 0.0)
         session.run_to_end()
         assert session.done
+
+    def test_injections_leave_shared_sites_untouched(self):
+        """Two sessions over one site list: shocking the first changes
+        neither the caller's arrays nor the second session's run."""
+        n = 600
+        sites = [
+            make_site(
+                15 + i, n, 200, supply=priced_grid_stack(n),
+                supply_mode="closed", name=f"shared-{i}",
+            )
+            for i in range(2)
+        ]
+        want = {site.name: reference_run(site) for site in sites}
+        inputs = [
+            (site.trace.values.copy(),
+             site.supply.components[1].price_per_mwh.copy())
+            for site in sites
+        ]
+        shocked = SimSession(sites, session_id="shocked")
+        other = SimSession(sites, session_id="other")
+        shocked.advance(100)
+        other.advance(100)
+        shocked.inject({"kind": "blackout", "site": "shared-0",
+                        "duration_steps": 60})
+        shocked.inject({"kind": "spot_price", "scale": 3.0,
+                        "duration_steps": 100})
+        shocked.advance(150)
+        assert [e["touched"] for e in shocked.audit_tail()
+                if e["event"] == "apply"] == [60, 2]
+        other.run_to_end()
+        for site in sites:
+            assert_identical(
+                f"shared:{site.name}",
+                other.results()[site.name],
+                want[site.name],
+                events=True,
+            )
+        for site, (values, prices) in zip(sites, inputs):
+            np.testing.assert_array_equal(site.trace.values, values)
+            np.testing.assert_array_equal(
+                site.supply.components[1].price_per_mwh, prices
+            )
 
     def test_invalid_injections_rejected(self):
         session = SimSession(make_site(1, 100, 10))

@@ -44,7 +44,7 @@ from repro.sched import Placement
 from repro.supply import (
     NO_SUPPLY,
     BatteryDispatch,
-    GridFirmPower,
+    PricedGridPower,
     SupplySpec,
     SupplyStack,
     supply_stack,
@@ -198,9 +198,9 @@ class TestBatteryDispatch:
             BatteryDispatch(**kwargs)
 
 
-class TestGridFirmPower:
+class TestUnpricedGrid:
     def test_budget_is_never_exceeded(self):
-        grid = GridFirmPower(budget_mwh=5.0)
+        grid = PricedGridPower(budget_mwh=5.0)
         state = grid.initial_state()
         drawn = 0.0
         for _ in range(100):
@@ -211,21 +211,21 @@ class TestGridFirmPower:
         assert grid.step(state, -10.0, 0.25) == 0.0
 
     def test_never_absorbs_surplus(self):
-        grid = GridFirmPower(budget_mwh=5.0)
+        grid = PricedGridPower(budget_mwh=5.0)
         state = grid.initial_state()
         assert grid.step(state, 10.0, 0.25) == 0.0
         assert state.remaining_mwh == 5.0
 
     def test_power_limit_caps_draw(self):
-        grid = GridFirmPower(budget_mwh=100.0, max_power_mw=2.0)
+        grid = PricedGridPower(budget_mwh=100.0, max_power_mw=2.0)
         state = grid.initial_state()
         assert grid.step(state, -10.0, 0.25) == 2.0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
-            GridFirmPower(budget_mwh=-1.0)
+            PricedGridPower(budget_mwh=-1.0)
         with pytest.raises(ConfigurationError):
-            GridFirmPower(budget_mwh=1.0, max_power_mw=0.0)
+            PricedGridPower(budget_mwh=1.0, max_power_mw=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +386,7 @@ class TestClosedLoop:
 
     def test_grid_budget_respected_in_loop(self):
         trace = dippy_trace()
-        stack = SupplyStack((GridFirmPower(budget_mwh=3.0),))
+        stack = SupplyStack((PricedGridPower(budget_mwh=3.0),))
         result = Datacenter(small_config(), trace, supply=stack).run(
             requests_for(len(trace), count=200)
         )
@@ -567,7 +567,7 @@ class TestSupplySpec:
         spec = SupplySpec(battery_mwh=10.0, grid_budget_mwh=5.0)
         battery, grid = spec.components()
         assert isinstance(battery, BatteryDispatch)
-        assert isinstance(grid, GridFirmPower)
+        assert isinstance(grid, PricedGridPower)
 
     def test_round_trip(self):
         spec = SupplySpec(
@@ -681,11 +681,16 @@ class TestStateSnapshots:
         assert clone is not state
 
     def test_grid_state_round_trip(self):
-        component = GridFirmPower(40.0, max_power_mw=2.0)
+        component = PricedGridPower(40.0, max_power_mw=2.0)
         state = component.initial_state()
         component.step(state, -1.0, 0.25)
         snapshot = state.to_dict()
-        assert snapshot == {"remaining_mwh": state.remaining_mwh}
+        assert snapshot == {
+            "remaining_mwh": state.remaining_mwh,
+            "cost_usd": 0.0,
+            "carbon_kg": 0.0,
+            "virtual_mwh": 0.0,
+        }
         clone = type(state).from_dict(snapshot)
         assert clone.remaining_mwh == state.remaining_mwh
 
@@ -731,7 +736,7 @@ class TestSpanIdleFastPath:
         values = np.full(600, 0.8)
         stack = SupplyStack((
             BatteryDispatch(3.0, 10.0, efficiency=0.9),
-            GridFirmPower(2.0, max_power_mw=1.0),
+            PricedGridPower(2.0, max_power_mw=1.0),
         ))
         span = stack.dispatcher(make_trace(values))
         scalar = stack.dispatcher(make_trace(values))
@@ -746,16 +751,15 @@ class TestSpanIdleFastPath:
             assert scalar.dispatch(t, 0.3) == span.evaluation.delivered[t]
         assert span.battery_soc_mwh() == scalar.battery_soc_mwh()
 
-    def test_invalidate_base_cache_sees_new_values(self):
+    def test_in_place_trace_change_is_seen(self):
         trace = make_trace(np.full(50, 0.6))
         dispatcher = SupplyStack(
-            (GridFirmPower(1000.0),)
+            (PricedGridPower(1000.0),)
         ).dispatcher(trace)
         deliveries, _ = dispatcher.advance_span(0, 10, 0.2, None, None)
         assert deliveries[0] == 0.6  # surplus: grid is a pass-through
         trace.values[:] = 0.0
-        dispatcher.invalidate_base_cache()
         deliveries, _ = dispatcher.advance_span(10, 20, 0.2, None, None)
         # Base went dark: the deficit is now grid-covered demand, not
-        # the stale cached 0.6 pass-through.
+        # the old 0.6 pass-through.
         assert deliveries[0] == 0.2

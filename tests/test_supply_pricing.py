@@ -1,17 +1,17 @@
-"""Golden degenerate and span-kernel equality tests for the priced grid.
+"""Golden degenerate and span-dispatch equality tests for the priced grid.
 
 Pins the tentpole contracts of the carbon/price-aware supply layer:
 
 - **Flat-budget degenerate case**: a constant-price, no-threshold,
-  ``always``-policy :class:`PricedGridPower` is bit-identical to
-  :class:`GridFirmPower` — delivered series and simulation columns,
+  ``always``-policy :class:`PricedGridPower` is bit-identical to an
+  unpriced one (a flat budget) — delivered series and simulation columns,
   across the step kernel and the dense oracle, open and closed loop,
   per-site and fleet — while additionally carrying the cost/carbon ledger
   (total cost == total imports x the constant price).  The step-kernel
   and dense-oracle legs each compare flat against priced; the fleet leg
   compares against the dense oracle.
-- **Span kernel == scalar**: ``SupplyDispatcher.advance_span``, the
-  inlined constant-demand window loop every closed-loop site runs,
+- **Span == scalar**: ``SupplyDispatcher.advance_span``, the
+  constant-demand window loop every closed-loop site runs,
   reproduces per-step ``dispatch()`` bitwise — deliveries, the wake
   crossing flag, every evaluation series, and the component states —
   over random windows and wake thresholds under every purchase policy.
@@ -34,7 +34,6 @@ from repro.sim import simulate
 from repro.sim.fleet import FleetSite
 from repro.supply import (
     BatteryDispatch,
-    GridFirmPower,
     PricedGridPower,
     SupplyStack,
 )
@@ -107,7 +106,7 @@ def flat_stack(n, budget=25.0, max_power=None, battery=True):
     if battery:
         parts.append(BatteryDispatch(30.0, 10.0))
     parts.append(
-        GridFirmPower(budget_mwh=budget, max_power_mw=max_power)
+        PricedGridPower(budget_mwh=budget, max_power_mw=max_power)
     )
     return SupplyStack(tuple(parts))
 
@@ -154,7 +153,7 @@ def assert_cost_ledger(priced_ev):
 
 
 class TestFlatBudgetDegenerate:
-    """Constant-price always-policy PricedGridPower == GridFirmPower."""
+    """Constant-price always-policy PricedGridPower == unpriced one."""
 
     def test_open_loop_bitwise(self):
         trace = dippy_trace()
@@ -285,10 +284,10 @@ class TestScalarBatchedProperty:
     """Span dispatch of batched steps == scalar per-step dispatch.
 
     :meth:`SupplyDispatcher.advance_span` dispatches a whole
-    constant-demand window in one loop with each component's ``step``
-    inlined; the closed-loop engines run nothing else.  Random windows,
-    demands and wake thresholds walk a whole grid through it, side by
-    side with per-step :meth:`SupplyDispatcher.dispatch`.
+    constant-demand window in one loop; the closed-loop engines run
+    nothing else.  Random windows, demands and wake thresholds walk a
+    whole grid through it, side by side with per-step
+    :meth:`SupplyDispatcher.dispatch`.
     """
 
     @pytest.mark.parametrize("policy", ["always", "threshold", "dvb"])
