@@ -9,8 +9,8 @@ no-supply call (plus a small absolute floor so a loaded runner doesn't
 flake on sub-second noise), and must stay result-identical.
 
 The battery closed-loop bench carries a second hard gate: with pinned
-windows skipped whole and live windows dispatched up to their first
-wake crossing over the SoA step kernel, a battery-backed closed-loop
+stretches filled vectorized and live steps dispatched one by one,
+waking the SoA step kernel only where needed, a battery-backed closed-loop
 site-year must stay within 4x of the open-loop kernel run of the same
 site without supply — closed-loop dispatch is stateful at every step,
 but the per-step cost is a handful of float operations, not an
@@ -171,8 +171,8 @@ def test_supply_empty_stack_overhead():
 def test_supply_battery_closed_loop_year():
     """One battery-backed site-year, closed loop, kernel and dense.
 
-    The second CI gate: the closed-loop kernel path (pinned-window
-    skipping and per-step dispatch windows over the SoA step kernel)
+    The second CI gate: the closed-loop kernel path (pinned fills and
+    per-step dispatch, waking the SoA step kernel only where needed)
     must stay within 4x of
     the open-loop kernel run of the same site without supply (+0.5s
     noise floor).  Dispatch is stateful at every step, so some

@@ -59,12 +59,7 @@ from .events import EventKind, EventLog, NullEventLog
 from .kernel import StepKernel
 from .livemigration import LiveMigrationModel, estimate_migration
 from .migration import EvictionOrder, EvictionPlanner
-from .power import (
-    LinearCorePower,
-    PowerModel,
-    ServerGranularPower,
-    min_norm_for_budget,
-)
+from .power import LinearCorePower, PowerModel, ServerGranularPower
 from .resources import ClusterSpec
 from .server import Server
 from .vm import VM, VMState
@@ -411,7 +406,7 @@ class EngineState:
             heaps, and the cursor :meth:`Datacenter.advance` resumes
             from.
         span_precompute: Whole-run base-power, round-trip, clipped and
-            budget series a closed-loop run's pinned windows commit
+            budget series a closed-loop run's pinned fills commit
             (built by the first :meth:`Datacenter.advance`); reset to
             ``None`` whenever the trace values behind it change.
     """
@@ -527,6 +522,27 @@ class _ServerPool:
         return servers[best_id] if best_id is not None else None
 
 
+def _first_crossing(
+    budgets: np.ndarray, running: int, upper: int | None
+) -> int:
+    """Index of the first budget that forces a wake, else ``len(budgets)``.
+
+    A budget below ``running`` evicts or pauses work; one at or above
+    ``upper`` (when set) can resume or launch it.
+    """
+    n = len(budgets)
+    if not n or (not running and upper is None):
+        return n
+    if upper is None:
+        cross = budgets < running
+    elif running:
+        cross = (budgets < running) | (budgets >= upper)
+    else:
+        cross = budgets >= upper
+    hit = int(cross.argmax())
+    return hit if cross[hit] else n
+
+
 class Datacenter:
     """A single VB site: cluster + power trace + workload replay.
 
@@ -542,11 +558,12 @@ class Datacenter:
             stack each processed step with its current demand, so the
             battery charges from real surplus and discharges into real
             dips.  The dense oracle executes every step; the kernel
-            path dispatches per step too, except over windows where
-            the stack is provably *pinned* (battery at a SoC bound,
-            grid budget exhausted) for the window's balance sign — there
-            the dispatch is a bit-exact no-op and whole spans are
-            skipped (see :meth:`advance`).
+            path dispatches per step too, but wakes the cluster only
+            at steps that need it; where the stack is provably
+            *pinned* (battery at a SoC bound, grid budget exhausted)
+            for the balance sign, the dispatch is a bit-exact no-op
+            and whole stretches are filled vectorized (see
+            :meth:`advance`).
             ``"open"``: the stack's precomputed delivered series
             replaces the trace values up front and the engines run
             untouched, skips and all.
@@ -592,11 +609,6 @@ class Datacenter:
         self._finish_at: dict[int, list[VM]] = {}
         # Per-memory-size wire-byte cache for the live-migration model.
         self._wire_cache: dict[float, float] = {}
-        # (lower, upper) budget bounds -> norm-space thresholds, cached
-        # because closed-loop windows revisit the same few bound pairs.
-        self._norm_bounds_cache: dict[
-            tuple[int, int | None], tuple[float | None, float | None]
-        ] = {}
         # Per-phase wall-clock accumulators (sim.phase.* counters);
         # None keeps the hot step on its timer-free straight-line path.
         self._phase_seconds: dict[str, float] | None = None
@@ -779,8 +791,7 @@ class Datacenter:
         find = self.pool.find
         record = self.events.record
         survivors: list[tuple[VM, int]] = []
-        pending = len(self._queue)
-        for _ in range(pending):
+        for _ in range(len(self._queue)):
             vm, queued_at = self._queue.popleft()
             if step - queued_at > patience:
                 vm.state = VMState.REJECTED
@@ -966,40 +977,6 @@ class Datacenter:
             self._step(step, budget, arrivals, cols)
         return n
 
-    def _norm_bounds(
-        self, lower: int, upper: int | None
-    ) -> tuple[float | None, float | None]:
-        """Budget wake thresholds translated to delivered-norm space.
-
-        Returns ``(lo_norm, up_norm)`` for
-        :meth:`~repro.supply.SupplyDispatcher.advance_span`:
-        a clipped delivered power below ``lo_norm`` means the budget
-        would drop below running cores, one at or above ``up_norm``
-        means it could resume or launch work.  Thresholds are the exact
-        minimal floats (:func:`min_norm_for_budget`), so norm-space
-        crossings equal budget-space crossings bit for bit.  Cached per
-        bound pair — closed-loop windows revisit the same handful of
-        ``(running, threshold)`` pairs all run long, and each miss costs
-        a closed-form inverse plus a few ``nextafter`` probes.
-        """
-        key = (lower, upper)
-        cached = self._norm_bounds_cache.get(key)
-        if cached is not None:
-            return cached
-        lo_norm: float | None = None
-        if lower > 0:
-            lo_norm = min_norm_for_budget(self.power_model, lower)
-            if lo_norm is None:
-                # Even full power cannot cover what is running: every
-                # step's budget sits below the eviction threshold.
-                lo_norm = np.inf
-        up_norm: float | None = None
-        if upper is not None:
-            up_norm = min_norm_for_budget(self.power_model, upper)
-        bounds = (lo_norm, up_norm)
-        self._norm_bounds_cache[key] = bounds
-        return bounds
-
     def advance(self, state: EngineState, until: int) -> int:
         """Execute a kernel-prepared run up to (not including) ``until``.
 
@@ -1048,20 +1025,9 @@ class Datacenter:
         """The open-loop half of :meth:`advance`."""
         kernel = state.kernel
         budgets = state.budgets
-        wake = kernel.next_event()
+        stop = min(kernel.next_event(), until)
         running, upper = kernel.wake_bounds()
-        stop = wake if wake < until else until
-        if start < stop and (running or upper is not None):
-            window = budgets[start:stop]
-            if upper is None:
-                cross = window < running
-            elif running:
-                cross = (window < running) | (window >= upper)
-            else:
-                cross = window >= upper
-            hit = int(cross.argmax())
-            if cross[hit]:
-                wake = start + hit
+        wake = start + _first_crossing(budgets[start:stop], running, upper)
         processed: list[int] = []
         if wake < until:
             kernel.drain_block(wake, budgets, until, processed)
@@ -1073,37 +1039,41 @@ class Datacenter:
         return len(processed)
 
     def _closed_segment(self, state: EngineState, step: int, until: int) -> int:
-        """The closed-loop half of :meth:`advance`: skip pinned windows.
+        """The closed-loop half of :meth:`advance`: wake only where needed.
 
-        Per-step dispatch is unavoidable while any component's state can
+        Every step the loop does not vectorize is dispatched, against
+        the site's current demand, from one call site, and runs as a
+        *wake* (through the kernel) only when an arrival, finish or
+        queue expiry is due, or when its core budget falls below the
+        running cores or reaches the resume / launch threshold — the
+        budget-space test :meth:`_open_segment` scans for.  Any other
+        step is a provable no-op for the cluster: its columns carry the
+        last wake's state.
+
+        Per-step dispatch is unavoidable while a component's state can
         move, but once the stack is *pinned* for a balance sign — every
         battery at the relevant SoC bound, every grid budget exhausted —
         a dispatch on that sign returns exactly ``base / capacity``,
-        mutates nothing, and accrues no telemetry.  A window is skipped
-        when (a) it ends before the next arrival / finish / expiry
-        event, (b) every step's balance keeps a sign the stack is
-        pinned for (demand is constant between events, so the sign
-        series is precomputable), and (c) the window's would-be budget
-        series never crosses an eviction / resume / launch wake
-        threshold (the open-loop scan, applied to the reconstructed
-        budgets).  Skipped steps get vectorized fills of the step
-        columns and the supply telemetry, bit-identical to per-step
-        dispatch (golden-tested against :meth:`_run_closed`).
+        mutates nothing, and accrues no telemetry.  Such stretches get
+        the vectorized fill of :meth:`_fill_pinned`, bit-identical to
+        per-step dispatch (golden-tested against :meth:`_run_closed`),
+        which stops at a sign flip or a budget crossing and hands that
+        step back to the per-step path.
 
-        Windows are clamped at ``until``; the next segment dispatches
-        its first step as a wake, which is harmless (a wake at a
-        provably no-op step changes nothing) and bit-identical
-        (``advance_span`` is a loop of ``dispatch`` calls, and the
-        vectorized pinned fill is pinned equal to them).
+        The window state (next event, wake thresholds, demand) only
+        changes at wakes, so the loop reads it from the kernel whenever
+        it enters: at the segment start, after a wake, and at the next
+        event.  A segment start is therefore like any other step, and a
+        run takes the same wakes wherever it is cut.
         """
         site = state.kernel
         cols = state.cols
         dispatcher = state.dispatcher
         if state.span_precompute is None:
-            # A pinned window behaves open-loop: delivered is the base
+            # A pinned stretch behaves open-loop: delivered is the base
             # round trip (modulo the rare covered-demand ulp clamp), so
             # the whole-run clip and budget series are computed once
-            # and windows commit views into them.
+            # and fills commit views into them.
             base_mw = dispatcher.base_mw_series()
             rt_full = base_mw / dispatcher.capacity_mw
             clipped_full = np.clip(rt_full, 0.0, 1.0)
@@ -1111,142 +1081,122 @@ class Datacenter:
                 base_mw, rt_full, clipped_full,
                 self._budget_series(clipped_full),
             )
-        base_mw, rt_full, clipped_full, budgets_full = state.span_precompute
-        processed = 0
+        base_mw = state.span_precompute[0]
         core_budget = self.power_model.core_budget
         norm_for_cores = self.power_model.norm_for_cores
         dispatch = dispatcher.dispatch
+        pinned = dispatcher.pinned
         capacity = dispatcher.capacity_mw
-        # An ``advance_span`` crossing has already dispatched its step;
-        # the delivered value is handed to the wake iteration via
-        # ``pending`` instead of dispatching twice.
-        pending: float | None = None
+        norm_power = cols.norm_power
+        budget_col = cols.core_budget
+        processed = 0
         while step < until:
-            if pending is None:
-                demand_norm = norm_for_cores(site.demand_at(step))
-                delivered = dispatch(step, demand_norm)
+            event = site.next_event()
+            if event <= step:
+                # The due event wakes this step whatever its budget, so
+                # it needs no wake thresholds.
+                demand = site.demand_at(step)
+                stop = step + 1
+                running, upper = 0, None
             else:
-                delivered = pending
-                pending = None
-            delivered = min(max(delivered, 0.0), 1.0)
-            budget = core_budget(delivered)
-            cols.norm_power[step] = delivered
-            cols.core_budget[step] = budget
-            site.step_wake(step, budget)
-            processed += 1
-            start = step + 1
-            if start >= until:
-                break
-            # Window end: the next step where something can happen
-            # regardless of power (arrival, scheduled finish, queue
-            # expiry).  Stale heap tops are spent events.  Segment runs
-            # clamp the window at ``until``; the first step beyond it is
-            # dispatched as a (harmless, bit-identical) wake on resume.
-            stop = site.next_event()
-            if stop > until:
-                stop = until
-            if stop <= start:
-                step = start
-                continue
-            # Demand is constant between events (running / paused /
-            # queued only mutate at processed steps, and no VM finishes
-            # inside the window), so one value covers the whole window.
-            demand_norm = max(norm_for_cores(site.window_demand()), 0.0)
-            running, upper = site.wake_bounds()
-            pinned_surplus = dispatcher.pinned(True)
-            pinned_deficit = dispatcher.pinned(False)
-            if not pinned_surplus and not pinned_deficit:
-                # Live stack: component state moves every step, so the
-                # window cannot be skipped — it is dispatched step by
-                # step in one span that halts at the first wake-
-                # threshold crossing.  Only crossings execute the step;
-                # every other step is a provable no-op whose columns
-                # forward-fill below.
-                lo_norm, up_norm = self._norm_bounds(running, upper)
-                deliveries, crossed = dispatcher.advance_span(
-                    start, stop, demand_norm, lo_norm, up_norm
-                )
-                fill = len(deliveries) - 1 if crossed else len(deliveries)
-                if fill:
-                    fill_end = start + fill
-                    clipped_w = np.clip(
-                        np.array(deliveries[:fill]), 0.0, 1.0
-                    )
-                    run_c, alloc_c, qlen = site.carried_state()
-                    cols.norm_power[start:fill_end] = clipped_w
-                    cols.core_budget[start:fill_end] = (
-                        self._budget_series(clipped_w)
-                    )
-                    cols.running_cores[start:fill_end] = run_c
-                    cols.allocated_cores[start:fill_end] = alloc_c
-                    cols.queue_length[start:fill_end] = qlen
-                if crossed:
-                    pending = deliveries[-1]
-                    step = start + len(deliveries) - 1
-                else:
-                    # The span may have returned early because the
-                    # stack went idle (pinned for the sign it was
-                    # dispatching) partway through the window; resume
-                    # right after the prefix so the pinned-window
-                    # vectorized path below takes over the remainder.
-                    step = start + len(deliveries)
-                continue
-            # Pinned window: every dispatch of the window's balance
-            # sign is a provable no-op, so the whole span vectorizes.
-            # ``covered`` doubles as the balance sign:
-            # balance >= 0  ⟺  base_mw >= demand_mw.
+                # Demand is constant until the event: running, paused
+                # and queued only mutate at wakes, and no VM finishes
+                # before it.
+                demand = site.window_demand()
+                stop = event if event < until else until
+                running, upper = site.wake_bounds()
+            demand_norm = max(norm_for_cores(demand), 0.0)
             demand_mw = demand_norm * capacity
-            covered = base_mw[start:stop] >= demand_mw
-            if not (pinned_surplus and pinned_deficit):
-                off_sign = ~covered if pinned_surplus else covered
-                flip = int(np.argmax(off_sign))
-                if off_sign[flip]:
-                    stop = start + flip
-                if stop <= start:
-                    step = start
-                    continue
-                covered = covered[: stop - start]
-            # With the stack pinned, dispatch returns the base round
-            # trip, clamped up to the demand on covered steps (the same
-            # ulp guard the scalar path applies).  The clamp fires only
-            # when the round trip lands an ulp under the demand, so the
-            # common case commits precomputed views untouched.
-            rt = rt_full[start:stop]
-            clamp = covered & (rt < demand_norm)
-            if clamp.any():
-                delivered_w = np.where(clamp, demand_norm, rt)
-                clipped = np.clip(delivered_w, 0.0, 1.0)
-                budgets_w = self._budget_series(clipped)
-            else:
-                delivered_w = rt
-                clipped = clipped_full[start:stop]
-                budgets_w = budgets_full[start:stop]
-            # The open-loop engine's budget-crossing scan, applied to
-            # the window's would-be budgets.
-            wake = budgets_w < running if running > 0 else None
-            if upper is not None:
-                above = budgets_w >= upper
-                wake = above if wake is None else (wake | above)
-            if wake is not None:
-                hit = int(np.argmax(wake))
-                if wake[hit]:
-                    stop = start + hit
-            if stop <= start:
-                step = start
-                continue
-            width = stop - start
-            run_c, alloc_c, qlen = site.carried_state()
-            cols.norm_power[start:stop] = clipped[:width]
-            cols.core_budget[start:stop] = budgets_w[:width]
-            cols.running_cores[start:stop] = run_c
-            cols.allocated_cores[start:stop] = alloc_c
-            cols.queue_length[start:stop] = qlen
-            balance = base_mw[start:stop] - demand_mw
-            dispatcher.fill_skipped(
-                start, stop, balance, delivered_w[:width]
-            )
-            step = stop
+            first = step
+            while step < stop:
+                if step < event and pinned(base_mw[step] >= demand_mw):
+                    step = self._fill_pinned(
+                        state, step, stop, demand_norm, running, upper
+                    )
+                    if step == stop:
+                        break
+                delivered = dispatch(step, demand_norm)
+                delivered = min(max(delivered, 0.0), 1.0)
+                budget = core_budget(delivered)
+                norm_power[step] = delivered
+                budget_col[step] = budget
+                if (
+                    step >= event
+                    or budget < running
+                    or (upper is not None and budget >= upper)
+                ):
+                    break
+                step += 1
+            if step > first:
+                run_c, alloc_c, qlen = site.carried_state()
+                cols.running_cores[first:step] = run_c
+                cols.allocated_cores[first:step] = alloc_c
+                cols.queue_length[first:step] = qlen
+            if step < stop:
+                site.step_wake(step, budget)
+                processed += 1
+                step += 1
         return processed
+
+    def _fill_pinned(
+        self,
+        state: EngineState,
+        start: int,
+        stop: int,
+        demand_norm: float,
+        running: int,
+        upper: int | None,
+    ) -> int:
+        """Commit the pinned prefix of a constant-demand window.
+
+        With the stack pinned for a balance sign, a dispatch on that
+        sign returns the base round trip, clamped up to the demand on
+        covered steps (the ulp guard of
+        :meth:`~repro.supply.SupplyDispatcher.dispatch`).  The prefix
+        ends at the first step of ``[start, stop)`` whose sign the stack
+        is not pinned for, or whose budget crosses a wake threshold; its
+        step and supply columns are written here.
+
+        Returns:
+            One past the prefix: ``stop``, or the step the caller must
+            dispatch itself.
+        """
+        dispatcher = state.dispatcher
+        base_mw, rt_full, clipped_full, budgets_full = state.span_precompute
+        demand_mw = demand_norm * dispatcher.capacity_mw
+        # ``covered`` doubles as the balance sign:
+        # balance >= 0  ⟺  base_mw >= demand_mw.
+        covered = base_mw[start:stop] >= demand_mw
+        pinned_surplus = dispatcher.pinned(True)
+        if not (pinned_surplus and dispatcher.pinned(False)):
+            off_sign = ~covered if pinned_surplus else covered
+            flip = int(np.argmax(off_sign))
+            if off_sign[flip]:
+                stop = start + flip
+                covered = covered[:flip]
+        rt = rt_full[start:stop]
+        # The clamp fires only when the round trip lands an ulp under
+        # the demand, so the common case commits precomputed views.
+        clamp = covered & (rt < demand_norm)
+        if clamp.any():
+            delivered = np.where(clamp, demand_norm, rt)
+            clipped = np.clip(delivered, 0.0, 1.0)
+            budgets = self._budget_series(clipped)
+        else:
+            delivered = rt
+            clipped = clipped_full[start:stop]
+            budgets = budgets_full[start:stop]
+        width = _first_crossing(budgets, running, upper)
+        end = start + width
+        if width:
+            cols = state.cols
+            cols.norm_power[start:end] = clipped[:width]
+            cols.core_budget[start:end] = budgets[:width]
+            dispatcher.fill_skipped(
+                start, end, base_mw[start:end] - demand_mw,
+                delivered[:width],
+            )
+        return end
 
     # ------------------------------------------------------------------
     # Run preparation / finalization (shared with the fleet engine)

@@ -54,38 +54,6 @@ def _raise_to_cover(model: PowerModel, norm: float, cores: int) -> float:
     return norm
 
 
-def min_norm_for_budget(model: PowerModel, cores: int) -> float | None:
-    """Exact delivered-power threshold for a core-budget wake bound.
-
-    Returns the smallest float ``nu`` in ``[0, 1]`` such that
-    ``model.core_budget(d) >= cores``  ⟺  ``d >= nu`` for every float
-    ``d`` in ``[0, 1]``, or ``None`` when even full power cannot cover
-    ``cores``.  The closed-loop engines compare delivered power against
-    these thresholds instead of computing a core budget per step; the
-    equivalence makes norm-space crossings exactly the budget-space
-    crossings of the reference engines (no missed wakes, no spurious
-    band beyond the comparison itself).
-
-    Requires the model's budget map to be nondecreasing in normalized
-    power (true of both shipped models; a non-monotone model has no
-    single threshold).  :meth:`PowerModel.norm_for_cores` already lands
-    within a few ulps *above* the boundary (its closed-form inverse is
-    corrected upward by :func:`_raise_to_cover`), so the descent to the
-    exact minimum is a handful of ``nextafter`` probes.
-    """
-    if cores <= 0:
-        return 0.0
-    if model.core_budget(1.0) < cores:
-        return None
-    norm = model.norm_for_cores(cores)
-    while norm > 0.0:
-        below = float(np.nextafter(norm, -np.inf))
-        if below < 0.0 or model.core_budget(below) < cores:
-            break
-        norm = below
-    return norm
-
-
 def _validated_series(values: np.ndarray) -> np.ndarray:
     """Range-check a normalized power series (vectorized)."""
     values = np.asarray(values, dtype=float)

@@ -67,37 +67,6 @@ class MarketModel:
                 f" {self.compute_value_per_mwh}"
             )
 
-    def price_series(
-        self,
-        trace: PowerTrace,
-        rng: np.random.Generator | None = None,
-        seed: int | None = None,
-    ) -> np.ndarray:
-        """Wholesale price per step, currency/MWh (can go negative).
-
-        Thin shim over :meth:`SpotPriceTrace.merit_order` — the single
-        merit-order price generator — kept for callers that want the
-        raw array; the RNG call sequence is identical, so existing
-        seeded results are unchanged bit for bit.
-        """
-        return self.price_trace(trace, rng=rng, seed=seed).values
-
-    def price_trace(
-        self,
-        trace: PowerTrace,
-        rng: np.random.Generator | None = None,
-        seed: int | None = None,
-    ) -> SpotPriceTrace:
-        """The merit-order price as a typed :class:`SpotPriceTrace`."""
-        return SpotPriceTrace.merit_order(
-            trace,
-            base_price_per_mwh=self.base_price_per_mwh,
-            sensitivity_per_mwh=self.sensitivity_per_mwh,
-            noise_std_per_mwh=self.noise_std_per_mwh,
-            rng=rng,
-            seed=seed,
-        )
-
     def curtailed_series_mwh(self, trace: PowerTrace) -> np.ndarray:
         """Energy the grid refuses per step (output above threshold)."""
         excess = np.clip(
@@ -152,7 +121,14 @@ def compare_revenue(
     compute value, curtailment-free.
     """
     market = market or MarketModel()
-    prices = market.price_series(trace, rng=rng, seed=seed)
+    prices = SpotPriceTrace.merit_order(
+        trace,
+        base_price_per_mwh=market.base_price_per_mwh,
+        sensitivity_per_mwh=market.sensitivity_per_mwh,
+        noise_std_per_mwh=market.noise_std_per_mwh,
+        rng=rng,
+        seed=seed,
+    ).values
     step_energy = trace.power_mw() * trace.grid.step_hours
     curtailed = market.curtailed_series_mwh(trace)
     accepted = step_energy - curtailed

@@ -17,11 +17,10 @@ Why segmenting preserves bit-identity: every event below a segment's
 end is processed before the boundary, so the heap entries it strands
 are provably stale; open-loop crossing scans depend only on state that
 cannot change across a skipped window, so a scan split at the boundary
-finds the same first hit; and the closed loop re-enters by dispatching
-the boundary step as a wake — harmless (a wake at a provably no-op step
-changes nothing) and bit-identical (a dispatch window is a loop of
-per-step dispatches, and the vectorized pinned fill is pinned equal to
-them).
+finds the same first hit; and the closed loop reads its window state
+from the kernel at every entry, so a segment start is no wake of its
+own: the boundary step is dispatched, or filled while the stack is
+pinned, exactly as in an uncut run, and wakes only if it needs to.
 
 Failure/supply injections (:meth:`SimSession.inject`) queue until the
 next ``advance`` and are recorded in the append-only :attr:`audit` log,

@@ -47,10 +47,10 @@ one program**:
   (stateful :class:`SupplyStack` dispatched against live demand)
   cannot share the budget matrix — their budgets depend on each site's
   own demand trajectory — so each runs the per-site skip-ahead closed
-  loop of :meth:`Datacenter.advance` inside the same fleet run:
-  :meth:`~repro.supply.SupplyDispatcher.advance_span` dispatches each
-  constant-demand window up to its first wake crossing and the idle
-  fast path skips pinned windows whole.  A
+  loop of :meth:`Datacenter.advance` inside the same fleet run: each
+  step is dispatched and wakes the kernel only when an event is due or
+  its budget crosses a wake threshold, and stretches where the stack
+  is pinned are filled vectorized.  A
   lockstep ``(S,)``-lane dispatcher used to advance same-length groups
   of 16 or more sites one step at a time; it lost to the per-site path
   at every fleet size measured (2.1x slower at 16 sites, 1.4–1.6x at

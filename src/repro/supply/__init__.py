@@ -12,10 +12,11 @@ budgets through its own path now shares this one:
   component's ``step`` is the only copy of its dispatch arithmetic.
 - :class:`SupplyDispatcher` — closed-loop dispatch of one stack
   against one site's live demand: :meth:`~SupplyDispatcher.dispatch`
-  per step, and :meth:`~SupplyDispatcher.advance_span`, a loop of
-  those dispatches over a constant-demand window that halts at the
-  first wake-threshold crossing.  Every closed-loop site, fleet
-  members included, runs it.
+  per step, plus :meth:`~SupplyDispatcher.pinned` and
+  :meth:`~SupplyDispatcher.fill_skipped` for the stretches where
+  every component is a provable no-op.  Every closed-loop site, fleet
+  members included, runs it; the cluster's wake thresholds stay in
+  the simulator.
 - :class:`SupplySpec` — the serializable, content-hashable form used
   by `experiments.Scenario` and the CLI.
 """

@@ -271,61 +271,6 @@ class SupplyDispatcher:
         ev.delivered[step] = delivered
         return delivered
 
-    def advance_span(
-        self,
-        start: int,
-        stop: int,
-        demand_norm: float,
-        lo_norm: float | None,
-        up_norm: float | None,
-    ) -> tuple[list[float], bool]:
-        """Dispatch a constant-demand window, halting at a wake crossing.
-
-        Steps ``start .. stop-1`` go through :meth:`dispatch` in order;
-        the loop stops *after* the first step whose clipped delivered
-        power crosses the wake thresholds (``< lo_norm``: the budget
-        would drop below running cores; ``>= up_norm``: it could resume
-        or launch work), or after the first step that leaves the stack
-        :meth:`pinned` for that step's balance sign.
-
-        Args:
-            start: First step to dispatch (inclusive).
-            stop: One past the last step the window may cover.
-            demand_norm: The window's constant normalized demand.
-            lo_norm: Wake when clipped delivered drops below this
-                (``None`` disables — nothing is running).
-            up_norm: Wake when clipped delivered reaches this (``None``
-                disables — nothing can resume or launch).
-
-        Returns:
-            ``(deliveries, crossed)``: the raw delivered values (before
-            the engine's [0, 1] clip) for the dispatched prefix, and
-            whether the last one crossed a threshold (making its step a
-            wake the caller must process).  A prefix shorter than the
-            window with ``crossed=False`` means the stack went *idle* —
-            pinned for the sign it was dispatching — and the caller
-            should resume after the prefix, where whole windows of that
-            sign can vectorize.
-        """
-        demand_norm = max(demand_norm, 0.0)
-        lo = -np.inf if lo_norm is None else lo_norm
-        up = np.inf if up_norm is None else up_norm
-        values = self._values
-        capacity = self._capacity_mw
-        demand_mw = demand_norm * capacity
-        dispatch = self.dispatch
-        pinned = self.pinned
-        deliveries: list[float] = []
-        for t in range(start, stop):
-            delivered = dispatch(t, demand_norm)
-            deliveries.append(delivered)
-            clipped = min(max(delivered, 0.0), 1.0)
-            if clipped < lo or clipped >= up:
-                return deliveries, True
-            if pinned(float(values[t]) * capacity >= demand_mw):
-                break
-        return deliveries, False
-
     # ------------------------------------------------------------------
     # Skip-ahead support (the closed-loop event engines)
     # ------------------------------------------------------------------

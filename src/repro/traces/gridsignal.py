@@ -18,7 +18,7 @@ and planning layers consume (:class:`CarbonIntensityTrace`,
   renewable output (``base - sensitivity * output + noise``), the
   merit-order effect behind negative-price episodes.  This is the
   *single* price generator in the library;
-  :meth:`repro.multisite.market.MarketModel.price_series` delegates
+  :func:`repro.multisite.market.compare_revenue` draws its prices
   here.
 
 Units: prices are currency per MWh (negatives allowed — that is the
@@ -243,9 +243,9 @@ class SpotPriceTrace(GridSignal):
         high-output hours push the price through zero, reproducing the
         negative-price episodes the paper cites.  This is the single
         price generator in the library;
-        :meth:`repro.multisite.market.MarketModel.price_series` is a
-        thin delegating shim over it, drawing noise with the identical
-        RNG call sequence.
+        :func:`repro.multisite.market.compare_revenue` prices exports
+        with it, from a :class:`~repro.multisite.market.MarketModel`'s
+        parameters.
         """
         if rng is None:
             rng = np.random.default_rng(seed)

@@ -32,6 +32,7 @@ from repro.traces import (
     PowerTrace,
     Site,
     SiteCatalog,
+    SpotPriceTrace,
     default_european_catalog,
     synthesize_catalog_traces,
 )
@@ -412,7 +413,14 @@ class TestMarketModel:
         from repro.multisite import MarketModel
 
         trace = self._wind()
-        prices = MarketModel().price_series(trace, seed=5)
+        model = MarketModel()
+        prices = SpotPriceTrace.merit_order(
+            trace,
+            base_price_per_mwh=model.base_price_per_mwh,
+            sensitivity_per_mwh=model.sensitivity_per_mwh,
+            noise_std_per_mwh=model.noise_std_per_mwh,
+            seed=5,
+        ).values
         corr = np.corrcoef(prices, trace.values)[0, 1]
         assert corr < -0.5
 
@@ -421,7 +429,13 @@ class TestMarketModel:
 
         trace = self._wind()
         model = MarketModel(sensitivity_per_mwh=90.0)
-        prices = model.price_series(trace, seed=5)
+        prices = SpotPriceTrace.merit_order(
+            trace,
+            base_price_per_mwh=model.base_price_per_mwh,
+            sensitivity_per_mwh=model.sensitivity_per_mwh,
+            noise_std_per_mwh=model.noise_std_per_mwh,
+            seed=5,
+        ).values
         negative = prices < 0
         if negative.any():
             # Negative-price steps have above-average output.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pickle
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from functools import lru_cache
@@ -28,6 +29,7 @@ from tests.test_fleet import (
     reference_run,
 )
 
+from repro.cluster.kernel import StepKernel
 from repro.errors import SessionError
 from repro.serve import SessionRegistry, SimSession
 from repro.supply import SupplyStack
@@ -43,6 +45,32 @@ def session_run(site, engine, chunk):
     return session.results()[site.name]
 
 
+@contextmanager
+def needed_wakes():
+    """Log the closed loop's kernel wakes, asserting each was needed.
+
+    A wake is needed when an arrival, finish or queue expiry is due, or
+    the step's core budget falls below the running cores or reaches the
+    resume / launch threshold.
+    """
+    woken: list[int] = []
+    step_wake = StepKernel.step_wake
+
+    def checked(kernel, step, budget):
+        running, upper = kernel.wake_bounds()
+        assert (
+            kernel.next_event() <= step
+            or budget < running
+            or (upper is not None and budget >= upper)
+        ), f"unneeded wake at step {step}"
+        woken.append(step)
+        step_wake(kernel, step, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StepKernel, "step_wake", checked)
+        yield woken
+
+
 class TestSegmentedAdvance:
     """advance(n) in any segmentation == one uninterrupted run."""
 
@@ -52,7 +80,9 @@ class TestSegmentedAdvance:
         [
             ("open", None),
             ("open", "battery"),
+            ("closed", "battery"),
             ("closed", "battery_grid"),
+            ("closed", "priced_threshold"),
         ],
     )
     def test_chunked_advance_golden(self, engine, mode, stack):
@@ -60,15 +90,21 @@ class TestSegmentedAdvance:
             None: None,
             "battery": battery_stack(),
             "battery_grid": battery_grid_stack(),
+            "priced_threshold": priced_threshold_stack(1500),
         }[stack]
         site = make_site(3, 1500, 400, supply=supply, supply_mode=mode)
         want = reference_run(site)
-        for chunk in (1, 137, 5000):
-            got = session_run(site, engine, chunk)
+        with needed_wakes() as batch:
+            reference_run(site, engine)
+        for chunk in (1, 7, 137, 5000):
+            with needed_wakes() as woken:
+                got = session_run(site, engine, chunk)
             assert_identical(
                 f"{engine}/{mode}/{stack}/chunk={chunk}",
                 got, want, events=True,
             )
+            # A segment start is no wake of its own.
+            assert woken == batch, f"chunk={chunk}"
 
     def test_zero_and_overshoot_advance(self):
         site = make_site(2, 600, 150)
@@ -143,8 +179,9 @@ class TestRandomSegmentation:
 
     Open-loop segments forward-fill their skipped steps from the step
     before the segment and hand the wake chain to ``drain_block``;
-    closed-loop segments clamp dispatch windows at the cut.  Random cut
-    points hit both mid-chain and mid-window.
+    closed-loop segments clamp dispatch windows at the cut and take the
+    batch run's wakes, each one needed.  Random cut points hit both
+    mid-chain and mid-window.
     """
 
     @settings(max_examples=25, deadline=None)
@@ -156,12 +193,16 @@ class TestRandomSegmentation:
     )
     def test_random_cut_points_match_dense(self, closed, cuts):
         site, want = segmentation_case(closed)
-        session = SimSession(site)
-        for cut in sorted(set(cuts)):
-            session.advance(cut - session.step)
-        session.run_to_end()
+        with needed_wakes() as woken:
+            session = SimSession(site)
+            for cut in sorted(set(cuts)):
+                session.advance(cut - session.step)
+            session.run_to_end()
         got = session.results()[site.name]
         assert_identical(f"cuts={sorted(set(cuts))}", got, want, events=True)
+        with needed_wakes() as batch:
+            reference_run(site, "event")
+        assert woken == batch
         if closed:
             for series in ("cost_usd", "carbon_kg"):
                 np.testing.assert_array_equal(

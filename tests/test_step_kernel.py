@@ -275,8 +275,8 @@ class TestClosedLoopGolden:
 
     def test_protocol_only_component(self):
         """A component known only through the ``SupplyComponent``
-        protocol runs the same closed loop (span dispatch, idle returns,
-        pinned windows) as the shipped ones: a batch run and a session
+        protocol runs the same closed loop (per-step dispatch, wakes,
+        pinned fills) as the shipped ones: a batch run and a session
         advanced in uneven chunks both equal the dense oracle."""
         config, trace, requests = random_scenario(1)
 

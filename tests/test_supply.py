@@ -30,6 +30,7 @@ from repro.cluster import (
     DatacenterConfig,
     ServerSpec,
 )
+from repro.cluster.datacenter import StepColumns
 from repro.errors import ConfigurationError
 from repro.experiments import Scenario, WorkloadSpec
 from repro.forecast import NoisyOracleForecaster
@@ -45,6 +46,8 @@ from repro.supply import (
     NO_SUPPLY,
     BatteryDispatch,
     PricedGridPower,
+    SupplyDispatcher,
+    SupplyEvaluation,
     SupplySpec,
     SupplyStack,
     supply_stack,
@@ -716,50 +719,87 @@ class TestStateSnapshots:
 
 
 class TestSpanIdleFastPath:
-    """A saturated stack ends its dispatch window early (satellite 3)."""
+    """A saturated stack is filled, not dispatched, step by step."""
 
-    def test_full_battery_under_surplus_returns_short_prefix(self):
-        trace = make_trace(np.full(20_000, 0.9))
-        stack = battery_stack(capacity_mwh=5.0, power_mw=50.0)
-        dispatcher = stack.dispatcher(trace)
-        deliveries, crossed = dispatcher.advance_span(
-            0, 20_000, 0.2, None, None
+    @staticmethod
+    def run_counted(monkeypatch, config, trace, requests, stack):
+        """Run the kernel, count its dispatches, check the dense oracle."""
+        dispatched = []
+        dispatch = SupplyDispatcher.dispatch
+
+        def counted(dispatcher, step, demand_norm):
+            dispatched.append(step)
+            return dispatch(dispatcher, step, demand_norm)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(SupplyDispatcher, "dispatch", counted)
+            got = Datacenter(config, trace, supply=stack()).run(requests)
+        want = Datacenter(config, trace, supply=stack()).run(
+            requests, engine="dense"
         )
-        assert not crossed
-        # The battery fills within a handful of steps; the window must
-        # not grind through all 20k steps afterwards.
-        assert len(deliveries) < 50
-        assert dispatcher.pinned(surplus=True)
-        assert dispatcher.battery_soc_mwh() == 5.0
+        for column in StepColumns.__slots__[1:]:
+            np.testing.assert_array_equal(
+                getattr(got.columns, column),
+                getattr(want.columns, column),
+                err_msg=column,
+            )
+        for name in SupplyEvaluation.SERIES_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(got.supply, name), getattr(want.supply, name),
+                err_msg=name,
+            )
+        return got, len(dispatched)
 
-    def test_idle_break_matches_per_step_dispatch(self):
-        values = np.full(600, 0.8)
-        stack = SupplyStack((
-            BatteryDispatch(3.0, 10.0, efficiency=0.9),
-            PricedGridPower(2.0, max_power_mw=1.0),
-        ))
-        span = stack.dispatcher(make_trace(values))
-        scalar = stack.dispatcher(make_trace(values))
-        step = 0
-        while step < 600:
-            deliveries, _ = span.advance_span(step, 600, 0.3, None, None)
-            assert deliveries, "span may not stall"
-            step += len(deliveries)
-            if span.pinned(surplus=True):
-                break
-        for t in range(step):
-            assert scalar.dispatch(t, 0.3) == span.evaluation.delivered[t]
-        assert span.battery_soc_mwh() == scalar.battery_soc_mwh()
+    def test_full_battery_under_surplus_returns_short_prefix(
+        self, monkeypatch
+    ):
+        n = 20_000
+        # 16 of the 80 cores run all year long: a constant 0.2 demand.
+        vm_type = VMType("T2", 2, 8.0)
+        requests = [
+            VMRequest(i, 0, n, vm_type, VMClass.STABLE) for i in range(8)
+        ]
+        got, n_dispatched = self.run_counted(
+            monkeypatch, small_config(), make_trace(np.full(n, 0.9)),
+            requests,
+            lambda: battery_stack(capacity_mwh=5.0, power_mw=50.0),
+        )
+        # The battery fills within a handful of steps; the run must not
+        # grind through all 20k steps afterwards.
+        assert n_dispatched < 50
+        assert got.supply.final_soc_mwh == 5.0
+
+    def test_empty_battery_under_deficit_returns_short_prefix(
+        self, monkeypatch
+    ):
+        n = 20_000
+        # 0.15 powers 12 of the 80 cores, which the admission cap holds
+        # to 4 two-core VMs; the other 3 wait all year, so demand (0.175)
+        # stays above generation behind an empty battery.
+        vm_type = VMType("T2", 2, 8.0)
+        requests = [
+            VMRequest(i, 0, n, vm_type, VMClass.STABLE) for i in range(7)
+        ]
+        got, n_dispatched = self.run_counted(
+            monkeypatch, small_config(queue_patience_steps=n),
+            make_trace(np.full(n, 0.15)), requests,
+            lambda: battery_stack(
+                capacity_mwh=5.0, power_mw=50.0, initial_charge_fraction=0.0
+            ),
+        )
+        assert n_dispatched < 50
+        assert got.columns.queue_length[-1] == 3
+        assert got.supply.discharge_total_mwh == 0.0
 
     def test_in_place_trace_change_is_seen(self):
         trace = make_trace(np.full(50, 0.6))
         dispatcher = SupplyStack(
             (PricedGridPower(1000.0),)
         ).dispatcher(trace)
-        deliveries, _ = dispatcher.advance_span(0, 10, 0.2, None, None)
+        deliveries = [dispatcher.dispatch(t, 0.2) for t in range(10)]
         assert deliveries[0] == 0.6  # surplus: grid is a pass-through
         trace.values[:] = 0.0
-        deliveries, _ = dispatcher.advance_span(10, 20, 0.2, None, None)
+        deliveries = [dispatcher.dispatch(t, 0.2) for t in range(10, 20)]
         # Base went dark: the deficit is now grid-covered demand, not
         # the old 0.6 pass-through.
         assert deliveries[0] == 0.2

@@ -1,4 +1,4 @@
-"""Golden degenerate and span-dispatch equality tests for the priced grid.
+"""Golden degenerate and closed-loop equality tests for the priced grid.
 
 Pins the tentpole contracts of the carbon/price-aware supply layer:
 
@@ -10,11 +10,11 @@ Pins the tentpole contracts of the carbon/price-aware supply layer:
   (total cost == total imports x the constant price).  The step-kernel
   and dense-oracle legs each compare flat against priced; the fleet leg
   compares against the dense oracle.
-- **Span == scalar**: ``SupplyDispatcher.advance_span``, the
-  constant-demand window loop every closed-loop site runs,
-  reproduces per-step ``dispatch()`` bitwise — deliveries, the wake
-  crossing flag, every evaluation series, and the component states —
-  over random windows and wake thresholds under every purchase policy.
+- **Closed loop == dense**: the step-kernel closed loop — per-step
+  dispatch, wakes only where needed, vectorized pinned stretches —
+  reproduces the dense oracle bitwise (every column, the event log,
+  every evaluation series, and the final component states) on a random
+  trace and workload under every purchase policy.
 """
 
 from __future__ import annotations
@@ -30,14 +30,17 @@ from repro.cluster import (
     DatacenterConfig,
     ServerSpec,
 )
+from repro.cluster.datacenter import StepColumns
+from repro.cluster.kernel import StepKernel
 from repro.sim import simulate
 from repro.sim.fleet import FleetSite
 from repro.supply import (
     BatteryDispatch,
     PricedGridPower,
+    SupplyDispatcher,
+    SupplyEvaluation,
     SupplyStack,
 )
-from repro.supply.stack import SupplyEvaluation
 from repro.traces import PowerTrace
 from repro.units import TimeGrid
 from repro.workload import VMClass, VMRequest, VMType
@@ -280,18 +283,51 @@ def priced_component(policy, n, seed, budget=60.0):
     return PricedGridPower(**kwargs)
 
 
-class TestScalarBatchedProperty:
-    """Span dispatch of batched steps == scalar per-step dispatch.
+def spied_run(monkeypatch, datacenter, requests, engine):
+    """``datacenter.run`` with its dispatches and kernel wakes logged.
 
-    :meth:`SupplyDispatcher.advance_span` dispatches a whole
-    constant-demand window in one loop; the closed-loop engines run
-    nothing else.  Random windows, demands and wake thresholds walk a
-    whole grid through it, side by side with per-step
-    :meth:`SupplyDispatcher.dispatch`.
+    Returns the result, the run's dispatcher, one ``(step, pinned)``
+    pair per dispatch (``pinned``: the stack was pinned for the step's
+    balance sign), and one ``(step, event_due)`` pair per kernel wake.
+    """
+    dispatchers, dispatched, wakes = [], [], []
+    dispatch, step_wake = SupplyDispatcher.dispatch, StepKernel.step_wake
+    values = datacenter.power_trace.values
+
+    def logged_dispatch(dispatcher, step, demand_norm):
+        if not dispatchers:
+            dispatchers.append(dispatcher)
+        capacity = dispatcher.capacity_mw
+        surplus = (
+            float(values[step]) * capacity
+            >= max(demand_norm, 0.0) * capacity
+        )
+        dispatched.append((step, dispatcher.pinned(surplus)))
+        return dispatch(dispatcher, step, demand_norm)
+
+    def logged_wake(kernel, step, budget):
+        wakes.append((step, kernel.next_event() <= step))
+        step_wake(kernel, step, budget)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(SupplyDispatcher, "dispatch", logged_dispatch)
+        mp.setattr(StepKernel, "step_wake", logged_wake)
+        result = datacenter.run(requests, engine=engine)
+    return result, dispatchers[0], dispatched, wakes
+
+
+class TestScalarBatchedProperty:
+    """The closed-loop engine == per-step dispatch, under every policy.
+
+    :meth:`Datacenter.advance` dispatches live steps one at a time,
+    wakes the kernel only at steps that need it, and fills pinned
+    stretches vectorized; the dense oracle dispatches and executes
+    every step.  A random trace with dead and full-output steps and a
+    random VM workload walk all three paths under each purchase policy.
     """
 
     @pytest.mark.parametrize("policy", ["always", "threshold", "dvb"])
-    def test_span_matches_scalar_bitwise(self, policy):
+    def test_closed_loop_matches_dense(self, policy, monkeypatch):
         n = 600
         rng = np.random.default_rng(10)
         # Dead and full-output steps put the clipped delivery on the
@@ -300,68 +336,49 @@ class TestScalarBatchedProperty:
         values[rng.random(n) < 0.1] = 0.0
         values[rng.random(n) < 0.1] = 1.0
         trace = make_trace(values, capacity_mw=60.0)
+        requests = requests_for(n, count=150, seed=12, cores=6)
 
-        def dispatcher():
+        def run(engine):
             stack = SupplyStack((
                 BatteryDispatch(30.0, 10.0),
-                priced_component(policy, n, seed=20, budget=200.0),
+                priced_component(policy, n, seed=20, budget=40.0),
             ))
-            return stack.dispatcher(trace)
+            datacenter = Datacenter(small_config(), trace, supply=stack)
+            return spied_run(monkeypatch, datacenter, requests, engine)
 
-        def threshold(low, high):
-            """``None`` (disabled), an edge of [0, 1], or a draw."""
-            draw = rng.random()
-            if draw < 0.2:
-                return None
-            if draw < 0.35:
-                return float(rng.choice([0.0, 1.0]))
-            return float(rng.uniform(low, high))
-
-        scalar, span = dispatcher(), dispatcher()
-        exits = {"crossed": 0, "window": 0, "idle": 0}
-        t = 0
-        while t < n:
-            stop = min(n, t + int(rng.integers(1, 40)))
-            demand = float(rng.uniform(0.0, 1.2))
-            lo = threshold(0.0, 0.8)
-            up = threshold(lo or 0.0, 1.3)
-            want, want_crossed = [], False
-            for step in range(t, stop):
-                delivered = scalar.dispatch(step, demand)
-                want.append(delivered)
-                clipped = min(max(delivered, 0.0), 1.0)
-                if (lo is not None and clipped < lo) or (
-                    up is not None and clipped >= up
-                ):
-                    want_crossed = True
-                    break
-            # An idle return (a short prefix, not a crossing) resumes
-            # after the prefix, as the closed-loop engine does.
-            got, crossed = [], False
-            while t + len(got) < stop and not crossed:
-                prefix, crossed = span.advance_span(
-                    t + len(got), stop, demand, lo, up
-                )
-                got += prefix
-                if not crossed and t + len(got) < stop:
-                    exits["idle"] += 1
-            assert got == want, f"window at step {t}"
-            assert crossed == want_crossed, f"window at step {t}"
-            for st_scalar, st_span in zip(scalar.states, span.states):
-                assert st_scalar.to_dict() == st_span.to_dict()
-            exits["crossed" if crossed else "window"] += 1
-            t += len(got)
+        got, got_dispatcher, dispatched, wakes = run("event")
+        want, want_dispatcher, _, _ = run("dense")
+        for column in StepColumns.__slots__[1:]:
+            np.testing.assert_array_equal(
+                getattr(got.columns, column),
+                getattr(want.columns, column),
+                err_msg=column,
+            )
+        assert list(got.events) == list(want.events)
         for name in SupplyEvaluation.SERIES_FIELDS:
             np.testing.assert_array_equal(
-                getattr(scalar.evaluation, name),
-                getattr(span.evaluation, name),
+                getattr(got.supply, name), getattr(want.supply, name),
                 err_msg=name,
             )
-        # Every exit of the kernel was taken, and the grid both bought
-        # and ran dry.
-        assert min(exits.values()) > 0, exits
-        assert 0.0 < scalar.evaluation.grid_import_mwh.sum()
-        assert scalar.states[1].remaining_mwh == 0.0
+        for got_state, want_state in zip(
+            got_dispatcher.states, want_dispatcher.states
+        ):
+            assert got_state.to_dict() == want_state.to_dict()
+        # The run took every path: a wake with no event due (a budget
+        # crossing), a dispatched step that was no wake, and a pinned
+        # stretch filled without dispatch.
+        woken = {step for step, _ in wakes}
+        assert not all(due for _, due in wakes)
+        assert {step for step, _ in dispatched} - woken
+        assert len(dispatched) < n
+        # A step the stack is pinned for is filled, or it wakes.
+        assert not [
+            step for step, pinned in dispatched
+            if pinned and step not in woken
+        ]
+        # The grid both bought and ran dry.
+        assert 0.0 < want.supply.grid_import_mwh.sum()
+        assert want_dispatcher.states[1].remaining_mwh == 0.0
 
     def test_policies_actually_diverge(self):
         """Guard: the three policies buy different energy, so the
