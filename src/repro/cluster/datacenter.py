@@ -158,10 +158,6 @@ class StepColumns:
         "n_resumed", "n_completed", "n_expired", "queue_length",
     )
 
-    #: Column name → float dtype flag (int64 otherwise); the layout the
-    #: fleet engine's site-major block allocation mirrors.
-    FLOAT_COLUMNS = ("norm_power", "out_bytes", "in_bytes")
-
     def __init__(self, n: int):
         self.n = n
         self.norm_power = np.zeros(n)
@@ -180,20 +176,6 @@ class StepColumns:
         self.n_completed = np.zeros(n, dtype=np.int64)
         self.n_expired = np.zeros(n, dtype=np.int64)
         self.queue_length = np.zeros(n, dtype=np.int64)
-
-    @classmethod
-    def from_views(cls, n: int, views: dict) -> "StepColumns":
-        """Wrap preallocated per-column arrays (site rows of a fleet
-        engine's site-major matrices) without allocating.
-
-        ``views`` must supply one zeroed length-``n`` array per column
-        slot (every name in ``__slots__`` except ``n``).
-        """
-        cols = object.__new__(cls)
-        cols.n = n
-        for name in cls.__slots__[1:]:
-            setattr(cols, name, views[name])
-        return cols
 
     def forward_fill(self, steps: Sequence[int], stop: int) -> None:
         """Carry state from each of ``steps`` over the skipped steps.
@@ -390,8 +372,7 @@ class EngineState:
     Attributes:
         n: Grid length.
         grid: The run's time grid.
-        cols: Columnar per-step measurements (possibly views into a
-            fleet-shared site-major block).
+        cols: Columnar per-step measurements.
         budgets: Precomputed core-budget series; ``None`` in closed
             loop, where budgets depend on live demand.
         arrivals_by_step: Step → VMs arriving there, for the dense
@@ -569,7 +550,8 @@ class Datacenter:
             untouched, skips and all.
         record_events: Keep the per-VM event log (default).  Fleet-scale
             runs pass ``False`` to record columns only — results are
-            identical except :attr:`events` stays empty.
+            identical except :attr:`events` stays empty.  Every run
+            starts a fresh log.
     """
 
     def __init__(
@@ -588,7 +570,7 @@ class Datacenter:
         self.power_trace = power_trace
         self.supply = supply
         self.supply_mode = supply_mode
-        self.pool = _ServerPool(config.cluster)
+        self.record_events = record_events
         self.admission = AdmissionControl(
             config.cluster.total_cores, config.admission_utilization
         )
@@ -596,17 +578,6 @@ class Datacenter:
             self.power_model: PowerModel = LinearCorePower(config.cluster)
         else:
             self.power_model = ServerGranularPower(config.cluster)
-        self.planner = EvictionPlanner(
-            config.cluster.n_servers,
-            config.eviction_order,
-            config.pause_degradable,
-        )
-        self.events = EventLog() if record_events else NullEventLog()
-        self._queue: deque[tuple[VM, int]] = deque()
-        self._paused: deque[VM] = deque()
-        self._running_cores = 0
-        self._allocated_cores = 0
-        self._finish_at: dict[int, list[VM]] = {}
         # Per-memory-size wire-byte cache for the live-migration model.
         self._wire_cache: dict[float, float] = {}
         # Per-phase wall-clock accumulators (sim.phase.* counters);
@@ -982,8 +953,8 @@ class Datacenter:
 
         The single per-site stepping loop: a batch run is
         ``advance(state, n)``, a session is repeated calls with a
-        growing ``until``, and the fleet's per-site closed-loop sites
-        call it once.  The cursor is
+        growing ``until``, and every fleet site is one
+        ``advance(state, n)``.  The cursor is
         the kernel's :attr:`~repro.cluster.kernel.StepKernel.last` —
         every step at or below it is final — and each call executes
         ``[last + 1, until)`` then leaves ``last = until - 1``.  That is
@@ -1199,15 +1170,15 @@ class Datacenter:
         return end
 
     # ------------------------------------------------------------------
-    # Run preparation / finalization (shared with the fleet engine)
+    # Run preparation / finalization (shared with sessions and fleets)
     # ------------------------------------------------------------------
 
     @property
     def closed_loop(self) -> bool:
         """True when this site dispatches supply against live demand.
 
-        Closed-loop budgets cannot be precomputed, so such sites cannot
-        join a fleet group's shared budget matrix.
+        Closed-loop budgets cannot be precomputed; they depend on the
+        site's own demand trajectory.
         """
         supply = self.supply
         return (
@@ -1221,28 +1192,28 @@ class Datacenter:
         "completions", "power_down", "resume", "arrivals", "launches"
     )
 
+    #: Engine names :meth:`run` (and :func:`repro.sim.simulate`) accept.
+    ENGINES = ("event", "soa", "dense")
+
     def prepare_run(
-        self,
-        requests: Sequence[VMRequest],
-        cols: StepColumns | None = None,
-        kernel: bool = False,
+        self, requests: Sequence[VMRequest], kernel: bool = False
     ) -> EngineState:
         """Build the per-run engine state :meth:`run` executes over.
 
-        Extracted so sessions and the cross-site
-        :class:`repro.sim.fleet.FleetEngine` can prepare many sites and
-        drive them themselves.  Resolves the supply mode (closed-loop
-        dispatcher vs open-loop precomputed delivery) and precomputes
-        the budget series and power columns for open-loop runs.
+        Extracted so sessions and :class:`repro.sim.fleet.FleetEngine`
+        can drive sites themselves.  Resolves the supply mode
+        (closed-loop dispatcher vs open-loop precomputed delivery) and
+        precomputes the budget series and power columns for open-loop
+        runs.  Each call starts a fresh event log, so one datacenter
+        can run more than once.
 
         Args:
             requests: VM arrivals to replay.
-            cols: Optional preallocated column store (the fleet engine
-                passes views into one site-major block); allocated
-                fresh when omitted.
             kernel: Build a :class:`~repro.cluster.kernel.StepKernel`
                 over the requests for :meth:`advance`; without it the
-                requests become ``VM`` objects for the dense oracle.
+                requests become ``VM`` objects, and a fresh server
+                pool, eviction planner and queues are built, for the
+                dense oracle.
         """
         grid = self.power_trace.grid
         n = grid.n
@@ -1251,8 +1222,22 @@ class Datacenter:
         self._phase_seconds = (
             dict.fromkeys(self.PHASE_NAMES, 0.0) if obs.enabled() else None
         )
+        self.events = EventLog() if self.record_events else NullEventLog()
         arrivals_by_step: dict[int, list[VM]] = {}
         if not kernel:
+            # The dense oracle's object model; kernel runs never read it.
+            config = self.config
+            self.pool = _ServerPool(config.cluster)
+            self.planner = EvictionPlanner(
+                config.cluster.n_servers,
+                config.eviction_order,
+                config.pause_degradable,
+            )
+            self._queue: deque[tuple[VM, int]] = deque()
+            self._paused: deque[VM] = deque()
+            self._running_cores = 0
+            self._allocated_cores = 0
+            self._finish_at: dict[int, list[VM]] = {}
             for request in requests:
                 if request.arrival_step >= n:
                     continue
@@ -1265,8 +1250,7 @@ class Datacenter:
         closed = self.closed_loop
         evaluation: SupplyEvaluation | None = None
         dispatcher: SupplyDispatcher | None = None
-        if cols is None:
-            cols = StepColumns(n)
+        cols = StepColumns(n)
         if closed:
             # Budgets cannot be precomputed — each step's delivered
             # power depends on live demand; the closed engines fill the
@@ -1355,7 +1339,7 @@ StepKernel` advanced by :meth:`advance`, skipping provably no-op
         Returns:
             Per-step records plus the full event log.
         """
-        if engine not in ("event", "soa", "dense"):
+        if engine not in self.ENGINES:
             raise ConfigurationError(f"unknown simulation engine: {engine!r}")
         dense = engine == "dense"
         state = self.prepare_run(requests, kernel=not dense)

@@ -29,9 +29,10 @@ Why it is faster than the object model:
   ``last_victim + 1`` in every terminating case — see
   :meth:`StepKernel._plan_power_down`).
 * **One wake loop.**  The open-loop wake chain lives once, in
-  :meth:`StepKernel.drain_block`, driven by the fleet's block scans and
-  by ``Datacenter.advance``, whose closed loop uses the same
-  ``next_event`` / ``wake_bounds`` / ``step_wake`` protocol.
+  :meth:`StepKernel.drain_block`, and its one driver is
+  ``Datacenter.advance`` — batch runs, sessions and every fleet site —
+  whose closed loop uses the same ``next_event`` / ``wake_bounds`` /
+  ``step_wake`` protocol.
 
 Determinism notes mirrored from the object model: free-core buckets
 are id-sorted lists, victim ties resolve through the VM id exactly as
@@ -91,8 +92,7 @@ class StepKernel:
         requests: VM arrivals to replay (arrivals at or past the grid
             end are dropped, as the dense oracle's ``prepare_run``
             does).
-        cols: The run's preallocated column store (possibly fleet row
-            views).
+        cols: The run's preallocated column store.
     """
 
     def __init__(self, dc, requests: Sequence[VMRequest], cols):
@@ -698,7 +698,7 @@ class StepKernel:
         cols.queue_length[step] = len(self.queue)
 
     # ------------------------------------------------------------------
-    # Wake-by-wake protocol (Datacenter.advance + fleet engine)
+    # Wake-by-wake protocol (Datacenter.advance)
     # ------------------------------------------------------------------
 
     def _launch_wake_threshold(self) -> int | None:
@@ -834,18 +834,15 @@ class StepKernel:
         budget_row,
         b1: int,
         processed: list[int],
-    ) -> tuple[int, int, int | None]:
-        """Process the chain of in-block wakes starting at ``step``.
+    ) -> None:
+        """Process the chain of wakes from ``step`` up to ``b1``.
 
-        The fleet engine pops one ``(step, site)`` wake per site per
-        block, and ``Datacenter.advance`` passes a segment's first wake
+        ``Datacenter.advance`` passes an open-loop segment's first wake
         with the segment end as ``b1``; the site then drains every wake
         it can reach before ``b1`` — arrivals, finishes, expiries, and
         budget-threshold crossings rescanned over its own budget row —
         without returning to the caller.  Appends processed steps to
-        ``processed`` and returns ``(next_wake, running, upper)`` where
-        ``next_wake`` is the first event at or past ``b1`` (or ``n``)
-        and the bounds are the site's wake thresholds after the chain.
+        ``processed``.
         """
         n = self.n
         arrivals_by_step = self.arrivals_by_step
@@ -912,4 +909,3 @@ class StepKernel:
             break
         self.arrival_index = ai
         self.last = step
-        return wake, running, upper

@@ -13,8 +13,8 @@ through the canonical pipeline —
     traces -> workload:<site> -> simulate:<site> -> analyze
 
 Multi-site ``vm_requests`` scenarios collapse the per-site simulate
-stages into one ``simulate:fleet`` stage: all sites advance through the
-columnar :class:`~repro.sim.fleet.FleetEngine`, result-identical to the
+stages into one ``simulate:fleet`` stage: all sites run through one
+:class:`~repro.sim.fleet.FleetEngine` call, result-identical to the
 per-site loop.
 
 — consulting the artifact cache for the expensive stages (trace
@@ -47,7 +47,6 @@ from ..sched import (
 from ..sched.problem import default_bytes_per_core
 from ..sim import (
     ExecutionResult,
-    FleetEngine,
     FleetSite,
     PolicyComparison,
     execute_placement,
@@ -646,9 +645,9 @@ class Runner:
             return build
 
         if len(scenario.sites) > 1:
-            # Multi-site scenarios advance every site through one
-            # columnar fleet program — identical results to the
-            # per-site loop (golden-tested), one simulate stage.
+            # Multi-site scenarios run every site through one fleet
+            # call — identical results to the per-site loop
+            # (golden-tested), one simulate stage.
             workloads = self._fan_out(
                 workload_task(index, name)
                 for index, name in enumerate(scenario.sites)

@@ -9,19 +9,14 @@ has room it waits in a displaced pool and retries each step.  Stable
 VMs follow that migrate path; degradable VMs pause in place, exactly as
 the paper prescribes.
 
-Like the single-site simulator, the executor has two result-identical
-engines sharing one step implementation: ``engine="dense"`` advances
-every grid step; ``engine="event"`` (the default) wakes only at VM
-arrivals, scheduled completions (min-heap), and *budget-threshold
-crossings* found by the fleet engine's site-major scan
-(:func:`repro.sim.fleet.crossing_scan`): a site's budget dropping below
-its running cores, or rising to where a paused VM could resume or a
-displaced VM could land.  Between wakes no site state can change —
-budgets stay inside every site's thresholds, so overflow, resume
-eligibility, and displaced-landing feasibility are all unchanged from
-the last processed step — and the skipped records are exact
-forward-fills (the displaced pool still accrues homeless VM-steps over
-the span).
+The replay has one loop: every grid step advances every site once.
+Skipping steps does not pay here — on hourly planning grids nearly
+every step holds an arrival, a finish or a budget crossing.  Nor does
+it run on the single-site :class:`~repro.cluster.kernel.StepKernel`,
+whose semantics differ: the replay resumes any paused VM that fits
+(the kernel stops at the first that does not), its arrivals have no
+queue, patience or admission cap, and its displaced VMs land on
+another site.
 
 The fluid engine answers "how many bytes"; this one also answers
 "which VM, onto which server, after how many hops" — and running both
@@ -32,7 +27,6 @@ on the same placement quantifies the fluid approximation's error
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Mapping
 
 import numpy as np
@@ -45,7 +39,6 @@ from ..cluster.vm import VM, VMState
 from ..errors import ConfigurationError, SchedulingError
 from ..sched.problem import Placement, SchedulingProblem
 from ..supply import SupplyDispatcher, SupplyEvaluation, SupplyStack
-from .fleet import _NO_LOWER, _NO_UPPER, crossing_scan
 from ..traces import PowerTrace
 from ..workload import VMClass, VMRequest
 
@@ -316,7 +309,6 @@ def _replay_placement(
     actual_traces: Mapping[str, PowerTrace],
     cluster: ClusterSpec | None = None,
     *,
-    engine: str = "event",
     eviction_order: EvictionOrder = EvictionOrder.FIRST_PLACED,
     supply: "Mapping[str, SupplyStack] | SupplyStack | None" = None,
     supply_mode: str = "closed",
@@ -330,9 +322,6 @@ def _replay_placement(
         actual_traces: True generation per site, on the problem grid.
         cluster: Per-site cluster shape; sized to each site's
             total_cores with the paper's 40-core servers when omitted.
-        engine: ``"event"`` (default) skips provably no-op steps;
-            ``"dense"`` executes every grid step.  Both produce
-            identical results.
         eviction_order: Victim choice within a server during eviction
             (the paper leaves it unspecified; first-placed by default).
         supply: Optional supply stack(s) composed behind the actual
@@ -340,17 +329,12 @@ def _replay_placement(
             (sites absent from the mapping run on the raw trace).
             Empty stacks are strict pass-throughs.
         supply_mode: ``"closed"`` (default) dispatches each site's
-            stack every step against that site's live demand, which
-            forces per-step execution (battery SoC evolves every step,
-            so the event engine's no-op-window proof does not hold);
-            ``"open"`` firms each trace up front and leaves both
-            engines untouched.
+            stack every step against that site's live demand;
+            ``"open"`` firms each trace up front.
 
     Returns:
         Per-site records plus cross-site handoff accounting.
     """
-    if engine not in ("event", "dense"):
-        raise ConfigurationError(f"unknown simulation engine: {engine!r}")
     if supply_mode not in ("closed", "open"):
         raise ConfigurationError(f"unknown supply mode: {supply_mode!r}")
     placement.validate_complete(problem)
@@ -403,19 +387,13 @@ def _replay_placement(
     # VMs displaced and not yet landed anywhere.
     displaced_pool: list[VM] = []
     finish_at: dict[int, list[tuple[VM, str]]] = {}
-    finish_heap: list[int] = []
     vm_site: dict[int, str] = {}
     homeless_vm_steps = 0
 
     def schedule_finish(vm: VM, site_name: str, step: int) -> None:
         finish = step + vm.remaining_steps
         vm.finish_step = finish
-        bucket = finish_at.get(finish)
-        if bucket is None:
-            finish_at[finish] = [(vm, site_name)]
-            heappush(finish_heap, finish)
-        else:
-            bucket.append((vm, site_name))
+        finish_at.setdefault(finish, []).append((vm, site_name))
         vm_site[vm.vm_id] = site_name
 
     site_order = {name: index for index, name in enumerate(states)}
@@ -445,7 +423,7 @@ def _replay_placement(
         return demand
 
     def process(step: int) -> None:
-        """One lock-step advance of every site (shared by both engines)."""
+        """One lock-step advance of every site."""
         nonlocal displaced_pool, homeless_vm_steps
         if dispatchers:
             demand = site_demand_cores(step)
@@ -586,126 +564,26 @@ def _replay_placement(
         for name, state in states.items():
             columns[name].running_cores[step] = state.running_cores
 
-    run_span = obs.span(
-        "sim.detailed", engine=engine, n_steps=n, n_sites=len(states)
-    )
-    run_span.__enter__()
-    # Wake count lives in a plain local int — the step loops allocate
-    # nothing per step for observability.
-    processed = 0
-    if engine == "dense" or dispatchers:
-        # Closed-loop supply dispatch makes every step stateful (SoC /
-        # grid budget evolve from every balance), so the event engine's
-        # skip windows are unsound there — both engines run dense.
+    with obs.span("sim.detailed", n_steps=n, n_sites=len(states)):
         for step in range(n):
             process(step)
-        processed = n
-    else:
-        # Event-driven: wake at arrivals, scheduled finishes, and
-        # budget-threshold crossings — the fleet engine's site-major
-        # scan over one stacked budget matrix.  A skipped step is
-        # provably a no-op when every site's budget stays at or above
-        # its running cores (no power-down) and below the smallest
-        # budget that could resume a paused VM or land a displaced one
-        # (no resume, no landing) — so skipped records are forward-fills
-        # (plus the displaced pool's homeless accrual).  Landing
-        # thresholds ignore packing feasibility, so a crossing wake may
-        # process a step where nothing lands; that is a conservative
-        # extra wake, never a missed change.
-        arrival_steps = sorted(
-            {
-                step
-                for per_site in arrivals.values()
-                for step in per_site
-                if step < n
-            }
-        )
-        n_arrival_steps = len(arrival_steps)
-        arrival_index = 0
-        state_list = list(states.values())
-        n_sites = len(state_list)
-        if n_sites:
-            budget_matrix = np.stack([budgets[name] for name in states])
-        lower = np.full(n_sites, _NO_LOWER, dtype=np.int64)
-        upper = np.full(n_sites, _NO_UPPER, dtype=np.int64)
-
-        def refresh_thresholds() -> None:
-            """Per-site wake bounds from the last processed step.
-
-            Pool and pause state only mutate at processed steps, so
-            these bounds stay valid across the whole skip window.
-            """
-            min_displaced = min(
-                (vm.cores for vm in displaced_pool), default=None
+        if obs.enabled():
+            cols = columns.values()
+            obs.count(
+                "detailed.evictions", int(sum(c.n_evicted.sum() for c in cols))
             )
-            for i, state in enumerate(state_list):
-                running = state.running_cores
-                lower[i] = running if running > 0 else _NO_LOWER
-                rise = min(
-                    (vm.cores for vm in state.paused), default=None
-                )
-                if min_displaced is not None and (
-                    rise is None or min_displaced < rise
-                ):
-                    rise = min_displaced
-                upper[i] = _NO_UPPER if rise is None else running + rise
-
-        last = -1
-        while True:
-            nxt = n
-            while (
-                arrival_index < n_arrival_steps
-                and arrival_steps[arrival_index] <= last
-            ):
-                arrival_index += 1
-            if arrival_index < n_arrival_steps:
-                nxt = arrival_steps[arrival_index]
-            while finish_heap and finish_heap[0] <= last:
-                heappop(finish_heap)
-            if finish_heap and finish_heap[0] < nxt:
-                nxt = finish_heap[0]
-            window_start = last + 1
-            if n_sites and window_start < min(nxt, n):
-                hit = crossing_scan(
-                    budget_matrix[:, window_start:min(nxt, n)],
-                    lower, upper,
-                )
-                if hit is not None:
-                    nxt = window_start + hit
-            if window_start < nxt:
-                span = min(nxt, n) - window_start
-                homeless_vm_steps += len(displaced_pool) * span
-                for name, state in states.items():
-                    columns[name].running_cores[
-                        window_start:window_start + span
-                    ] = state.running_cores
-            if nxt >= n:
-                break
-            process(nxt)
-            refresh_thresholds()
-            processed += 1
-            last = nxt
-
-    if obs.enabled():
-        obs.count("detailed.wakes", processed, engine=engine)
-        obs.count("detailed.steps_skipped", n - processed, engine=engine)
-        cols = columns.values()
-        obs.count(
-            "detailed.evictions", int(sum(c.n_evicted.sum() for c in cols))
-        )
-        obs.count(
-            "detailed.landings", int(sum(c.n_landed.sum() for c in cols))
-        )
-        obs.count(
-            "detailed.pauses", int(sum(c.n_paused.sum() for c in cols))
-        )
-        obs.count(
-            "detailed.resumes", int(sum(c.n_resumed.sum() for c in cols))
-        )
-        obs.gauge("detailed.homeless_vm_steps", int(homeless_vm_steps))
-    for name, evaluation in evaluations.items():
-        evaluation.emit_metrics(site=name)
-    run_span.__exit__(None, None, None)
+            obs.count(
+                "detailed.landings", int(sum(c.n_landed.sum() for c in cols))
+            )
+            obs.count(
+                "detailed.pauses", int(sum(c.n_paused.sum() for c in cols))
+            )
+            obs.count(
+                "detailed.resumes", int(sum(c.n_resumed.sum() for c in cols))
+            )
+            obs.gauge("detailed.homeless_vm_steps", int(homeless_vm_steps))
+        for name, evaluation in evaluations.items():
+            evaluation.emit_metrics(site=name)
     return DetailedResult(
         tuple(problem.site_names), columns, homeless_vm_steps,
         supply=evaluations or None,

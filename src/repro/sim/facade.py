@@ -1,7 +1,7 @@
 """One front door for every simulation engine: :func:`simulate`.
 
 Three ways run the same physics — single-site
-:meth:`~repro.cluster.Datacenter.run`, the columnar cross-site
+:meth:`~repro.cluster.Datacenter.run`, the cross-site
 :class:`~repro.sim.fleet.FleetEngine`, and the multi-site placement
 replay of :mod:`repro.sim.detailed` — and :func:`simulate` routes by
 the shape of its first argument(s) so callers say *what* to simulate
@@ -18,7 +18,9 @@ Input shape                                    Engine
 
 Datacenters and fleets run on the step kernel (``engine="event"`` and
 ``"soa"`` are two names for it); ``engine="dense"`` selects the
-object-model oracle where a route has one.  All routes return the
+object-model oracle on the datacenter route.  The fleet and placement
+replay routes have one loop each and accept any valid engine name; an
+unknown name is rejected on every route.  All routes return the
 engines' native result types.
 """
 
@@ -51,11 +53,10 @@ def simulate(
             :class:`~repro.sched.SchedulingProblem` (pass the
             :class:`~repro.sched.Placement` and the actual traces as
             the second and third arguments).
-        engine: Engine variant where the route supports one
-            (``"event"`` / ``"soa"`` — the step kernel — or the
-            ``"dense"`` oracle for datacenters; ``"event"`` /
-            ``"dense"`` for placement replay; fleet runs are inherently
-            columnar and ignore it).
+        engine: ``"event"`` / ``"soa"`` (the step kernel) or the
+            ``"dense"`` oracle.  Only the datacenter route has two
+            engines; the fleet and placement-replay routes check the
+            name and run their one loop.
         record_events: Keep per-VM event logs on fleet runs (single
             datacenters record events per their own construction flag).
         **kwargs: Route-specific options passed through (for placement
@@ -68,6 +69,8 @@ def simulate(
         single fleet site, a ``{site name: SimulationResult}`` dict for
         a fleet, a :class:`DetailedResult` for placement replay.
     """
+    if engine not in Datacenter.ENGINES:
+        raise ConfigurationError(f"unknown simulation engine: {engine!r}")
     if isinstance(target, Datacenter):
         if len(args) != 1:
             raise ConfigurationError(
@@ -99,9 +102,7 @@ def simulate(
                 "simulate(problem, ...) expects (Placement,"
                 " {site: PowerTrace})"
             )
-        return _replay_placement(
-            target, placement, actual_traces, engine=engine, **kwargs
-        )
+        return _replay_placement(target, placement, actual_traces, **kwargs)
     if isinstance(target, Sequence) and not isinstance(
         target, (str, bytes)
     ):

@@ -49,6 +49,9 @@ class TestRouting:
                 results[site.name].summary_dict()
                 == reference_run(site).summary_dict()
             )
+        for target in (sites[0], sites):
+            with pytest.raises(ConfigurationError):
+                simulate(target, engine="warp")
 
     def test_placement_route(self):
         problem, traces = two_site_setup(

@@ -19,7 +19,7 @@ import pytest
 
 from repro import obs
 from repro.cluster import ClusterSpec, Datacenter, DatacenterConfig, ServerSpec
-from repro.cluster.datacenter import StepColumns
+from repro.cluster.datacenter import StepColumns, _first_crossing
 from repro.experiments import (
     ArtifactCache,
     Scenario,
@@ -29,7 +29,6 @@ from repro.experiments import (
 )
 from repro.experiments.cache import load_shared_traces, stage_shared_traces
 from repro.sim import FleetEngine, FleetSite
-from repro.sim.fleet import _NO_LOWER, _NO_UPPER, crossing_scan
 from repro.supply import SupplyEvaluation, SupplySpec, SupplyStack
 from repro.supply.components import BatteryDispatch, PricedGridPower
 from repro.traces import PowerTrace
@@ -262,32 +261,48 @@ class TestFleetGolden:
             FleetEngine(sites).run()
 
 
-class TestCrossingScan:
-    def test_no_crossing(self):
-        window = np.array([[5.0, 6.0, 7.0], [3.0, 3.0, 3.0]])
-        lower = np.array([2, 1], dtype=np.int64)
-        upper = np.array([_NO_UPPER, _NO_UPPER], dtype=np.int64)
-        assert crossing_scan(window, lower, upper) is None
+class TestDatacenterRerun:
+    @pytest.mark.parametrize("engine", ["event", "dense"])
+    def test_second_run_matches_first(self, engine):
+        """Each run starts from fresh state: a second run of the same
+        datacenter repeats the first and leaves its event log alone."""
+        site = make_site(3, 600, 300)
+        datacenter = Datacenter(site.config, site.trace)
+        first = datacenter.run(site.requests, engine=engine)
+        first_events = list(first.events)
+        second = datacenter.run(site.requests, engine=engine)
+        assert_identical(site.name, second, first, events=True)
+        assert list(first.events) == first_events
 
-    def test_first_crossing_wins_across_sites(self):
-        window = np.array([[5.0, 6.0, 0.0], [3.0, 0.0, 3.0]])
-        lower = np.array([2, 1], dtype=np.int64)
-        upper = np.array([_NO_UPPER, _NO_UPPER], dtype=np.int64)
-        # Site 1 dips below its floor at offset 1, before site 0's
-        # offset-2 dip: the fleet must wake at the earliest crossing.
-        assert crossing_scan(window, lower, upper) == 1
+
+class TestFirstCrossing:
+    def test_no_crossing(self):
+        budgets = np.array([5, 6, 7], dtype=np.int64)
+        assert _first_crossing(budgets, 2, None) == 3
+
+    def test_first_crossing_wins_across_bounds(self):
+        budgets = np.array([5, 9, 0], dtype=np.int64)
+        # The rise to ``upper`` at index 1 comes before the dip below
+        # ``running`` at index 2: the site must wake at the earlier one.
+        assert _first_crossing(budgets, 2, 8) == 1
 
     def test_upper_threshold_crossing(self):
-        window = np.array([[1.0, 1.0, 9.0]])
-        lower = np.array([_NO_LOWER], dtype=np.int64)
-        upper = np.array([4], dtype=np.int64)
-        assert crossing_scan(window, lower, upper) == 2
+        budgets = np.array([1, 1, 9], dtype=np.int64)
+        assert _first_crossing(budgets, 0, 4) == 2
 
     def test_empty_window(self):
-        window = np.zeros((2, 0))
-        lower = np.array([1, 1], dtype=np.int64)
-        upper = np.array([_NO_UPPER, _NO_UPPER], dtype=np.int64)
-        assert crossing_scan(window, lower, upper) is None
+        budgets = np.zeros(0, dtype=np.int64)
+        assert _first_crossing(budgets, 1, None) == 0
+
+    def test_budget_equal_to_running_is_not_a_crossing(self):
+        budgets = np.array([4, 4, 4], dtype=np.int64)
+        assert _first_crossing(budgets, 4, None) == 3
+        assert _first_crossing(budgets, 4, 9) == 3
+
+    def test_budget_equal_to_upper_is_a_crossing(self):
+        budgets = np.array([3, 5, 6], dtype=np.int64)
+        assert _first_crossing(budgets, 2, 5) == 1
+        assert _first_crossing(budgets, 0, 6) == 2
 
 
 class TestClosedLoopSkipAhead:

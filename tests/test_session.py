@@ -238,6 +238,8 @@ class TestCheckpointRestore:
         session = SimSession(site, engine=engine)
         session.advance(533)
         blob = session.checkpoint()
+        # Kernel runs build no object model, so none is pickled.
+        assert b"repro.cluster.server" not in blob
 
         restored = SimSession.restore(blob)
         restored.run_to_end()
