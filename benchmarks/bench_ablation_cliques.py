@@ -10,12 +10,8 @@ pool.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import format_table
 from repro.multisite import SiteGraph
-
-from conftest import SEED
 
 
 def test_ablation_clique_size(

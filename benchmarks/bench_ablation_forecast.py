@@ -11,7 +11,6 @@ toward (but should not catastrophically exceed) the greedy baseline.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table
 from repro.forecast import HorizonNoise, NoisyOracleForecaster

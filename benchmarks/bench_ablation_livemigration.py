@@ -10,7 +10,6 @@ bytes.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.analysis import format_table

@@ -8,7 +8,6 @@ contrast, as a dial rather than two points.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table
 from repro.forecast import NoisyOracleForecaster

@@ -12,7 +12,6 @@ with refreshed forecasts at different switch weights and measures
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table
 from repro.forecast import NoisyOracleForecaster

@@ -8,7 +8,6 @@ falling and migration traffic rising as headroom shrinks.
 
 from __future__ import annotations
 
-import pytest
 
 from repro.analysis import format_table
 from repro.cluster import Datacenter, DatacenterConfig

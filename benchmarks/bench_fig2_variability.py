@@ -8,14 +8,11 @@ vs. sunny days and spiky wind; Fig 2b — the 1-year CDF with solar
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_cdf_points, format_series_sample
 from repro.traces.weather import default_solar_regimes
 from repro.traces import synthesize_solar
 from repro.units import grid_days
-
-from conftest import START
 
 
 def _find_contrasting_days(trace):
@@ -49,7 +46,7 @@ def test_fig2a_time_series(benchmark, year_traces, report_writer):
         "Figure 2a: 4-day normalized power sample (16 evenly spaced"
         " points per trace)",
         f"window: days {day}..{day + 4} of the year",
-        f"solar day peaks in window: "
+        "solar day peaks in window: "
         + ", ".join(f"{p:.2f}" for p in peaks[day : day + 4]),
         "solar:",
         format_series_sample(window_solar.values, 16),

@@ -9,7 +9,6 @@ least a day in advance.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table
 from repro.forecast import (

@@ -9,7 +9,6 @@ its tail is shortest for MIP-peak.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_cdf_points
 from repro.sim import summarize_transfers

@@ -275,10 +275,10 @@ def test_closed_loop_fleet_quarter():
 
     closed_times, open_times = [], []
     for _ in range(GATED_ROUNDS):
-        closed = opened = None  # free the previous round's results
+        closed = None  # free the previous round's results
         closed, seconds = _time_once(lambda: FleetEngine(closed_sites).run())
         closed_times.append(seconds)
-        opened, seconds = _time_once(lambda: FleetEngine(open_sites).run())
+        _, seconds = _time_once(lambda: FleetEngine(open_sites).run())
         open_times.append(seconds)
     closed_s = statistics.median(closed_times)
     open_s = statistics.median(open_times)

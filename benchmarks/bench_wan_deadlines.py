@@ -11,9 +11,6 @@ down.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.analysis import format_table
 from repro.wan import WanSimulator, WanTopology, flows_from_execution
 

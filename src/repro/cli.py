@@ -56,6 +56,7 @@ import numpy as np
 
 from . import obs
 from .analysis import format_table
+from .errors import SolverError
 from .experiments import (
     ArtifactCache,
     ComputeSpec,
@@ -72,6 +73,7 @@ from .experiments import (
 from .experiments.defaults import DEFAULT_START, TRIO_SITES
 from .forecast import NoisyOracleForecaster, horizon_mape_profile
 from .multisite import stable_energy_split
+from .sched import DecomposeSpec
 from .supply import GRID_POLICIES
 from .supply.spec import CARBON_TRACES, PRICE_TRACES
 from .traces import (
@@ -115,6 +117,16 @@ def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
         help="worker count for parallel stages (default: $REPRO_JOBS,"
         " else serial)",
     )
+
+
+def _decompose_spec(text: str) -> str:
+    """``--decompose`` type: validate the spec, keep the text as given
+    (it enters scenario hashes verbatim)."""
+    try:
+        DecomposeSpec.parse(text)
+    except SolverError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return text
 
 
 def _add_supply_options(parser: argparse.ArgumentParser) -> None:
@@ -283,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cores-per-site", type=int, default=28000
     )
     schedule.add_argument(
-        "--decompose", default=None, metavar="SPEC",
+        "--decompose", type=_decompose_spec, default=None, metavar="SPEC",
         help="decompose the MIP policies' solves, e.g."
         " 'window:24,relax-fix' (see repro.sched.DecomposeSpec)",
     )
@@ -327,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="executor backend (auto: process when jobs > 1)",
     )
     sweep.add_argument(
-        "--decompose", default=None, metavar="SPEC",
+        "--decompose", type=_decompose_spec, default=None, metavar="SPEC",
         help="schedule mode: decompose the MIP policies' solves,"
         " e.g. 'window:24,relax-fix'",
     )

@@ -44,7 +44,7 @@ class SolverError(SchedulingError):
 
     Attributes:
         status: The solver's status code (``scipy.optimize.milp``
-            status int, or the HiGHS model-status name), when known.
+            status int), when known.
         window: Index of the decomposition window that failed, when the
             failure happened inside a windowed solve.
         shape: ``(n_rows, n_cols)`` of the constraint matrix that was
@@ -77,8 +77,8 @@ class SolverError(SchedulingError):
 
     def __reduce__(self):
         # Keyword-only context would be lost by the default exception
-        # pickling (used when a parallel window solve re-raises across
-        # a process pool), so rebuild through a helper.
+        # pickling (used when a scenario's solve fails inside a process
+        # worker of run_scenarios), so rebuild through a helper.
         return (
             _rebuild_solver_error,
             (self.message, self.status, self.window, self.shape),

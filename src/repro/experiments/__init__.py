@@ -56,7 +56,6 @@ from .defaults import (
 )
 from .parallel import (
     BatchResult,
-    ScenarioExecutor,
     auto_jobs,
     resolve_backend,
     resolve_jobs,
@@ -91,7 +90,6 @@ __all__ = [
     "RunResult",
     "run_scenario",
     "BatchResult",
-    "ScenarioExecutor",
     "auto_jobs",
     "resolve_backend",
     "resolve_jobs",

@@ -43,9 +43,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .. import obs
 from ..errors import ConfigurationError
@@ -211,46 +211,6 @@ class BatchResult:
         return [manifest.summary for manifest in self.manifests]
 
 
-@dataclass
-class ScenarioExecutor:
-    """Executor abstraction over the serial/thread/process backends.
-
-    Args:
-        backend: ``"auto"``, ``"serial"``, ``"thread"``, or
-            ``"process"``.
-        jobs: Worker count; resolved via :func:`resolve_jobs` when
-            ``None``.
-    """
-
-    backend: str = "auto"
-    jobs: int | None = None
-    resolved_jobs: int = field(init=False)
-    resolved_backend: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.resolved_jobs = resolve_jobs(self.jobs)
-        self.resolved_backend = resolve_backend(
-            self.backend, self.resolved_jobs
-        )
-        if self.resolved_backend == "serial":
-            self.resolved_jobs = 1
-
-    def map(self, func, payloads: Sequence[tuple]) -> list:
-        """Apply ``func`` to every payload, preserving payload order."""
-        payloads = list(payloads)
-        workers = min(self.resolved_jobs, max(1, len(payloads)))
-        if self.resolved_backend == "serial" or workers <= 1:
-            return [func(*payload) for payload in payloads]
-        pool_type = (
-            ThreadPoolExecutor
-            if self.resolved_backend == "thread"
-            else ProcessPoolExecutor
-        )
-        with pool_type(max_workers=workers) as pool:
-            futures = [pool.submit(func, *payload) for payload in payloads]
-            return [future.result() for future in futures]
-
-
 def run_scenarios(
     scenarios: Iterable[Scenario],
     jobs: int | None = None,
@@ -283,7 +243,10 @@ def run_scenarios(
         order plus the fleet summary.
     """
     scenarios = list(scenarios)
-    executor = ScenarioExecutor(backend, jobs)
+    jobs = resolve_jobs(jobs)
+    backend = resolve_backend(backend, jobs)
+    if backend == "serial":
+        jobs = 1
     if use_cache:
         cache = cache or ArtifactCache()
         cache_dir: str | None = str(cache.directory)
@@ -299,7 +262,7 @@ def run_scenarios(
     # lightweight payload — process workers get a shared-memory handle
     # instead of pickled year-long arrays.
     keys = [scenario.trace_key() for scenario in scenarios]
-    use_shm = executor.resolved_backend == "process"
+    use_shm = backend == "process"
     staged: dict[str, StagedTraces] = {}
     segments = []
     try:
@@ -331,7 +294,21 @@ def run_scenarios(
             (scenario.to_json(), cache_dir, manifest_dir_arg, staged[key])
             for scenario, key in zip(scenarios, keys)
         ]
-        outcomes = executor.map(_run_scenario_task, payloads)
+        workers = min(jobs, len(payloads))
+        if workers <= 1:
+            outcomes = [_run_scenario_task(*payload) for payload in payloads]
+        else:
+            pool_type = (
+                ThreadPoolExecutor
+                if backend == "thread"
+                else ProcessPoolExecutor
+            )
+            with pool_type(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(_run_scenario_task, *payload)
+                    for payload in payloads
+                ]
+                outcomes = [future.result() for future in futures]
     finally:
         for segment in segments:
             segment.close()
@@ -340,8 +317,8 @@ def run_scenarios(
 
     manifests = [RunManifest.from_dict(data) for data, _, _ in outcomes]
     fleet = FleetManifest(
-        backend=executor.resolved_backend,
-        jobs=executor.resolved_jobs,
+        backend=backend,
+        jobs=jobs,
         wall_seconds=wall_seconds,
     )
     for manifest, (_, seconds, worker) in zip(manifests, outcomes):

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ForecastError
 from ..traces import PowerTrace
-from .base import Forecast, Forecaster
+from .base import Forecaster
 
 
 def _validate_pair(actual: np.ndarray, predicted: np.ndarray) -> tuple[

@@ -1,11 +1,11 @@
-"""Decomposed MIP site selection: windows, relax-and-fix, parallelism.
+"""Decomposed MIP site selection: windows and relax-and-fix.
 
 The monolithic §3.1 MIP (:mod:`repro.sched.mip`) is exact but its
 solve time grows superlinearly with ``n_sites * n_steps``; at 500
 sites the HiGHS solve dominates assembly by orders of magnitude.  This
 module makes MIPScheduler-quality placements tractable at that scale
-with three composable strategies, selected by a :class:`DecomposeSpec`
-(``MIPScheduler(decompose="window:24,relax-fix,jobs:4")``):
+with two composable strategies, selected by a :class:`DecomposeSpec`
+(``MIPScheduler(decompose="window:24,relax-fix")``):
 
 **Rolling-horizon temporal decomposition** (``window:N[,overlap:M]``).
 The horizon is cut into commit windows of ``N`` steps (each optionally
@@ -39,15 +39,10 @@ exceeds the LP bound by more than ``max_gap`` (relative, floored at
 MIP.  The reported :attr:`~repro.sched.mip.MIPTimings.gap` is the
 certified bound gap of whatever solve produced the answer.
 
-**Parallel window solves** (``jobs:K[,backend:B]``).  When every app's
-activity interval avoids the window seams (no app alive at a seam) and
-no background/boundary state crosses them, the windows are independent
-and solve concurrently on the existing
-:class:`~repro.experiments.parallel.ScenarioExecutor` (``thread`` by
-default — HiGHS releases the GIL).  Non-separable instances silently
-run sequentially, where a single inner scheduler with
-``warm_start=True`` chains each window's solve from its predecessor's
-solution (inert without ``highspy``).
+Windows solve in order: each starts from the boundary ``u`` its
+predecessor committed, which stays nonzero across a seam even when no
+app is alive there (displaced cores stay displaced), so no window can
+be solved apart from the one before it.
 
 Every failure path (window infeasible, reduced problem infeasible,
 gap exceeded) raises :class:`~repro.errors.SolverError` carrying the
@@ -58,7 +53,6 @@ instead, flagged in :attr:`~repro.sched.mip.MIPTimings.fell_back`.
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -80,8 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
 #: fallbacks on solver tolerance.
 GAP_FLOOR_GB = 1.0
 
-_BACKENDS = ("serial", "thread", "process")
-
 
 @dataclass(frozen=True)
 class DecomposeSpec:
@@ -99,11 +91,6 @@ class DecomposeSpec:
             falls back to the monolithic solve beyond it.
         int_tol: |y - round(y)| threshold under which an LP-relaxed
             placement variable is considered integral and fixed.
-        jobs: Worker count for parallel window solves (1 = sequential
-            with warm-start chaining).
-        backend: Executor backend for parallel solves (``"thread"``
-            default — HiGHS releases the GIL; also ``"serial"`` /
-            ``"process"``).
         fallback: Fall back to the monolithic solve on any
             decomposition failure instead of raising.
     """
@@ -113,8 +100,6 @@ class DecomposeSpec:
     relax_fix: bool = False
     max_gap: float = 0.01
     int_tol: float = 1e-6
-    jobs: int = 1
-    backend: str = "thread"
     fallback: bool = True
 
     def __post_init__(self) -> None:
@@ -136,22 +121,14 @@ class DecomposeSpec:
             raise SolverError(
                 f"int-tol must be in [0, 0.5): {self.int_tol}"
             )
-        if self.jobs < 1:
-            raise SolverError(f"jobs must be >= 1: {self.jobs}")
-        if self.backend not in _BACKENDS:
-            raise SolverError(
-                f"unknown backend {self.backend!r};"
-                f" expected one of {_BACKENDS}"
-            )
 
     @classmethod
     def parse(cls, text: str) -> "DecomposeSpec":
         """Parse the CLI/scenario string form.
 
         Comma-separated tokens: ``window:N``, ``overlap:N``,
-        ``relax-fix``, ``gap:F``, ``int-tol:F``, ``jobs:N``,
-        ``backend:NAME``, ``no-fallback``.  Example:
-        ``"window:24,overlap:6,relax-fix,gap:0.01,jobs:4"``.
+        ``relax-fix``, ``gap:F``, ``int-tol:F``, ``no-fallback``.
+        Example: ``"window:24,overlap:6,relax-fix,gap:0.01"``.
         """
         kwargs: dict = {}
         for token in text.split(","):
@@ -170,18 +147,13 @@ class DecomposeSpec:
                     kwargs["max_gap"] = float(value)
                 elif key == "int-tol":
                     kwargs["int_tol"] = float(value)
-                elif key == "jobs":
-                    kwargs["jobs"] = int(value)
-                elif key == "backend":
-                    kwargs["backend"] = value
                 elif key == "no-fallback" and not value:
                     kwargs["fallback"] = False
                 else:
                     raise SolverError(
                         f"unknown decompose token {token!r}"
                         " (expected window:N, overlap:N, relax-fix,"
-                        " gap:F, int-tol:F, jobs:N, backend:NAME,"
-                        " no-fallback)"
+                        " gap:F, int-tol:F, no-fallback)"
                     )
             except ValueError as exc:
                 raise SolverError(
@@ -202,10 +174,6 @@ class DecomposeSpec:
             parts.append(f"gap:{self.max_gap:g}")
         if self.int_tol != 1e-6:
             parts.append(f"int-tol:{self.int_tol:g}")
-        if self.jobs != 1:
-            parts.append(f"jobs:{self.jobs}")
-        if self.backend != "thread":
-            parts.append(f"backend:{self.backend}")
         if not self.fallback:
             parts.append("no-fallback")
         return ",".join(parts)
@@ -570,9 +538,9 @@ def solve_decomposed(
                 n_rows=base.n_rows,
                 n_cols=base.n_cols,
                 nnz=base.nnz,
-                warm_start_used=base.warm_start_used,
                 objective=base.objective,
                 mode=mode,
+                dual_bound=base.dual_bound,
                 fell_back=True,
             )
         scheduler.last_timings = timings
@@ -586,22 +554,6 @@ def solve_decomposed(
         return placement
 
 
-def _mip_kwargs(scheduler: "MIPScheduler") -> dict:
-    """Constructor kwargs for inner per-window schedulers.
-
-    Warm-starting is forced on: sequential windows chain each solve
-    from its predecessor's solution (inert without ``highspy``).
-    """
-    return dict(
-        peak_weight=scheduler.peak_weight,
-        integer_vms=scheduler.integer_vms,
-        time_limit_s=scheduler.time_limit_s,
-        mip_rel_gap=scheduler.mip_rel_gap,
-        epsilon=scheduler.epsilon,
-        warm_start=True,
-    )
-
-
 def _filter_previous(
     previous_assignment: Mapping[int, Mapping[str, int]] | None,
     batch: tuple["Application", ...],
@@ -612,97 +564,6 @@ def _filter_previous(
         app.app_id: dict(previous_assignment.get(app.app_id, {}))
         for app in batch
     }
-
-
-def _windows_separable(
-    problem: SchedulingProblem,
-    plans: tuple[WindowPlan, ...],
-    stable_background: Mapping[str, np.ndarray] | None,
-    initial_displacement: Mapping[str, float] | None,
-) -> bool:
-    """True when no app activity or carried state crosses any seam.
-
-    This is the precondition for solving windows independently in
-    parallel (boundary displacement provably zero at every seam needs
-    one more property — no *held* displacement — which zero-crossing
-    activity implies only for apps; background load could hold
-    displacement across a seam, so any background disables it too).
-    """
-    if problem.grid_pricing is not None and any(
-        np.isfinite(budget)
-        for budget in problem.grid_pricing.budget_mwh.values()
-    ):
-        # A finite shared energy budget couples every window: spend in
-        # one reduces what the next may buy.
-        return False
-    if initial_displacement is not None and any(
-        float(v) > 0 for v in initial_displacement.values()
-    ):
-        return False
-    if stable_background is not None and any(
-        np.any(np.asarray(series, dtype=float) > 0)
-        for series in stable_background.values()
-    ):
-        return False
-    seams = [plan.commit_end for plan in plans[:-1]]
-    for seam in seams:
-        for app in problem.apps:
-            if app.arrival_step < seam and app.end_step >= seam:
-                return False
-    return True
-
-
-def _solve_window_task(
-    mip_kwargs: dict,
-    relax_spec: DecomposeSpec | None,
-    sub_problem: SchedulingProblem,
-    caps: dict[str, np.ndarray],
-    backgrounds: dict[str, np.ndarray],
-    previous_sub: dict[int, dict[str, int]] | None,
-    switch_weight: float,
-    index: int,
-    start: int,
-    steps: int,
-) -> tuple[Placement, "MIPTimings"]:
-    """Solve one independent window (module-level: process-picklable)."""
-    from .mip import MIPScheduler
-
-    inner = MIPScheduler(**mip_kwargs, decompose=relax_spec)
-    with obs.timed_span(
-        "mip.window",
-        index=index,
-        start=start,
-        steps=steps,
-        n_apps=len(sub_problem.apps),
-    ):
-        placement = inner.schedule(
-            sub_problem,
-            allocation_cap=caps,
-            stable_background=backgrounds,
-            previous_assignment=previous_sub,
-            switch_weight=switch_weight,
-        )
-    return placement, inner.last_timings
-
-
-def _run_in_context(ctx: contextvars.Context, func, *args):
-    """Run ``func`` under a copied context so thread-pool workers see
-    the caller's obs sinks and span parent (ContextVars don't cross
-    thread boundaries by themselves)."""
-    return ctx.run(func, *args)
-
-
-def _map_windows(spec: DecomposeSpec, payloads: list[tuple]) -> list:
-    from ..experiments.parallel import ScenarioExecutor
-
-    executor = ScenarioExecutor(backend=spec.backend, jobs=spec.jobs)
-    if executor.resolved_backend == "thread":
-        payloads = [
-            (contextvars.copy_context(), _solve_window_task) + payload
-            for payload in payloads
-        ]
-        return executor.map(_run_in_context, payloads)
-    return executor.map(_solve_window_task, payloads)
 
 
 def _window_timing(
@@ -722,7 +583,7 @@ def _window_timing(
         nnz=timings.nnz,
         objective=timings.objective,
         gap=timings.gap,
-        warm_start_used=timings.warm_start_used,
+        dual_bound=timings.dual_bound,
     )
 
 
@@ -801,119 +662,77 @@ def _solve_windowed(
     expected = 0.0
     planned_parts = {name: np.zeros(n) for name in problem.site_names}
 
-    parallel = (
-        spec.jobs > 1
-        and len(plans) > 1
-        and _windows_separable(
-            problem, plans, stable_background, initial_displacement
-        )
+    inner = MIPScheduler(
+        peak_weight=scheduler.peak_weight,
+        integer_vms=scheduler.integer_vms,
+        time_limit_s=scheduler.time_limit_s,
+        mip_rel_gap=scheduler.mip_rel_gap,
+        epsilon=scheduler.epsilon,
+        decompose=relax_spec,
     )
-
-    if parallel:
-        built_all = [
-            build_window_problem(problem, plan, state) for plan in plans
-        ]
-        live = [built for built in built_all if built is not None]
-        payloads = [
-            (
-                _mip_kwargs(scheduler),
-                relax_spec,
-                built.problem,
-                built.caps,
-                built.backgrounds,
-                _filter_previous(previous_assignment, built.batch),
-                switch_weight,
-                built.plan.index,
-                built.plan.start,
-                built.plan.steps,
-            )
-            for built in live
-        ]
-        results = _map_windows(spec, payloads)
-        for built, (sub_placement, sub_timings) in zip(live, results):
-            windows.append(
-                _window_timing(built.plan, len(built.batch), sub_timings)
-            )
-            commit = slice(built.plan.start, built.plan.commit_end)
-            for name in problem.site_names:
-                series = _commit_series(built, sub_placement, name)
-                if series.size:
-                    delta = np.diff(series, prepend=0.0)
-                    expected += (
-                        np.abs(delta).sum() + eps * series.sum()
-                    ) * bpc_gb
-                    planned_parts[name][commit] = series
-            expected += _committed_grid_cost(
-                problem, built, sub_placement
-            )
-            state.commit(built, sub_placement)
-    else:
-        inner = MIPScheduler(**_mip_kwargs(scheduler), decompose=relax_spec)
-        for plan in plans:
-            built = build_window_problem(problem, plan, state)
-            commit = slice(plan.start, plan.commit_end)
-            if built is None:
-                # No arrivals: the boundary still evolves (committed
-                # background can raise the displacement floor), and the
-                # monolithic objective charges those steps too.
-                for site in problem.sites:
-                    name = site.name
-                    floor = np.clip(
-                        state.stable_bg[name][commit]
-                        - site.capacity_cores[commit],
-                        0.0,
-                        None,
-                    )
-                    useg = np.maximum.accumulate(
-                        np.maximum(floor, boundary[name])
-                    )
-                    expected += (
-                        (useg[-1] - boundary[name]) + eps * useg.sum()
-                    ) * bpc_gb
-                    planned_parts[name][commit] = useg
-                    boundary[name] = float(useg[-1])
-                continue
-            with obs.timed_span(
-                "mip.window",
-                index=plan.index,
-                start=plan.start,
-                steps=plan.steps,
-                n_apps=len(built.batch),
-            ):
-                try:
-                    sub_placement = inner.schedule(
-                        built.problem,
-                        allocation_cap=built.caps,
-                        stable_background=built.backgrounds,
-                        previous_assignment=_filter_previous(
-                            previous_assignment, built.batch
-                        ),
-                        switch_weight=switch_weight,
-                        initial_displacement=dict(boundary),
-                    )
-                except SolverError as exc:
-                    raise SolverError(
-                        f"window solve failed: {exc.message}",
-                        status=exc.status,
-                        window=plan.index,
-                        shape=exc.shape,
-                    ) from exc
-            windows.append(
-                _window_timing(plan, len(built.batch), inner.last_timings)
-            )
-            for name in problem.site_names:
-                series = _commit_series(built, sub_placement, name)
-                if series.size:
-                    delta = np.diff(series, prepend=boundary[name])
-                    expected += (
-                        np.abs(delta).sum() + eps * series.sum()
-                    ) * bpc_gb
-                    planned_parts[name][commit] = series
-                    boundary[name] = float(series[-1])
-            expected += _committed_grid_cost(
-                problem, built, sub_placement
-            )
-            state.commit(built, sub_placement)
+    for plan in plans:
+        built = build_window_problem(problem, plan, state)
+        commit = slice(plan.start, plan.commit_end)
+        if built is None:
+            # No arrivals: the boundary still evolves (committed
+            # background can raise the displacement floor), and the
+            # monolithic objective charges those steps too.
+            for site in problem.sites:
+                name = site.name
+                floor = np.clip(
+                    state.stable_bg[name][commit]
+                    - site.capacity_cores[commit],
+                    0.0,
+                    None,
+                )
+                useg = np.maximum.accumulate(
+                    np.maximum(floor, boundary[name])
+                )
+                expected += (
+                    (useg[-1] - boundary[name]) + eps * useg.sum()
+                ) * bpc_gb
+                planned_parts[name][commit] = useg
+                boundary[name] = float(useg[-1])
+            continue
+        with obs.timed_span(
+            "mip.window",
+            index=plan.index,
+            start=plan.start,
+            steps=plan.steps,
+            n_apps=len(built.batch),
+        ):
+            try:
+                sub_placement = inner.schedule(
+                    built.problem,
+                    allocation_cap=built.caps,
+                    stable_background=built.backgrounds,
+                    previous_assignment=_filter_previous(
+                        previous_assignment, built.batch
+                    ),
+                    switch_weight=switch_weight,
+                    initial_displacement=dict(boundary),
+                )
+            except SolverError as exc:
+                raise SolverError(
+                    f"window solve failed: {exc.message}",
+                    status=exc.status,
+                    window=plan.index,
+                    shape=exc.shape,
+                ) from exc
+        windows.append(
+            _window_timing(plan, len(built.batch), inner.last_timings)
+        )
+        for name in problem.site_names:
+            series = _commit_series(built, sub_placement, name)
+            if series.size:
+                delta = np.diff(series, prepend=boundary[name])
+                expected += (
+                    np.abs(delta).sum() + eps * series.sum()
+                ) * bpc_gb
+                planned_parts[name][commit] = series
+                boundary[name] = float(series[-1])
+        expected += _committed_grid_cost(problem, built, sub_placement)
+        state.commit(built, sub_placement)
 
     merged = Placement(
         dict(state.assignment),
@@ -990,7 +809,6 @@ def _solve_windowed(
         n_rows=sum(w.n_rows for w in windows),
         n_cols=sum(w.n_cols for w in windows),
         nnz=sum(w.nnz for w in windows),
-        warm_start_used=any(w.warm_start_used for w in windows),
         objective=objective,
         mode="window",
         windows=tuple(windows),
@@ -1022,17 +840,19 @@ def _solve_relax_fix(
         )
     layout = model.layout
     fell_back = False
+    dual_bound = None
     with obs.timed_span("mip.solve", strategy="relax-fix") as solve_span:
         if not model.integrality.any():
             # Already an LP (integer_vms=False): nothing to fix.
-            x, warm_used, status = scheduler._solve_model(model)
+            x, status, _ = scheduler._solve_model(model)
             gap = 0.0
             solve_span.set(status=status, gap=gap)
         else:
-            lp_x, warm_used, status = scheduler._solve_model(
-                model, relax=True
-            )
+            lp_x, status, _ = scheduler._solve_model(model, relax=True)
             objective_lp = float(model.c @ lp_x)
+            # The LP optimum bounds the full MIP from below, whichever
+            # solve below produces the answer.
+            dual_bound = objective_lp
             y = lp_x[: layout.o_u]
             rounded = np.round(y)
             near = np.abs(y - rounded) <= spec.int_tol
@@ -1047,7 +867,7 @@ def _solve_relax_fix(
 
             x = None
             try:
-                x, warm_used, status = scheduler._solve_model(
+                x, status, _ = scheduler._solve_model(
                     model, lower=lower, upper=upper
                 )
             except SolverError:
@@ -1055,11 +875,12 @@ def _solve_relax_fix(
             if x is not None and certified_gap(x) > spec.max_gap:
                 fell_back = True
             if fell_back:
-                x, warm_used, status = scheduler._solve_model(model)
+                x, status, _ = scheduler._solve_model(model)
             gap = certified_gap(x)
             solve_span.set(
                 status=status,
                 gap=gap,
+                dual_bound=dual_bound,
                 n_fixed=int(near.sum()),
                 n_free=int((~near).sum()),
                 fell_back=fell_back,
@@ -1070,10 +891,10 @@ def _solve_relax_fix(
         n_rows=model.shape[0],
         n_cols=model.shape[1],
         nnz=model.matrix.nnz,
-        warm_start_used=warm_used,
         objective=float(model.c @ x),
         mode="relax-fix",
         gap=gap,
+        dual_bound=dual_bound,
         fell_back=fell_back,
     )
     return scheduler._extract(problem, layout, x), timings

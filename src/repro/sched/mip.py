@@ -30,7 +30,7 @@ spreading out migrations over time".  Solved with HiGHS via
 Instances too large for one monolithic solve go through
 :mod:`repro.sched.decompose` (``MIPScheduler(decompose=...)``):
 temporal windows with the boundary ``u[s,t]`` carried across seams,
-LP-relax-and-fix, and parallel window solves.  The seam state enters
+and LP-relax-and-fix.  The seam state enters
 the model here as ``initial_displacement`` — the C3 traffic row at
 ``t == 0`` becomes ``d+ - d- - u[s,0] = -u_prev[s]``, so a window is
 charged only for displacement *changes* relative to its predecessor.
@@ -53,11 +53,6 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
-
-try:  # Direct HiGHS bindings: only needed for warm-started re-solves.
-    import highspy
-except ImportError:  # pragma: no cover - environment-dependent
-    highspy = None
 
 from .. import obs
 from ..errors import SolverError
@@ -140,7 +135,9 @@ class WindowTiming:
     """Telemetry for one decomposition window (or sub-solve).
 
     ``gap`` is the certified relax-and-fix optimality gap of that
-    window's solve (``None`` when the window solved monolithically).
+    window's solve (``None`` when the window solved monolithically);
+    ``dual_bound`` is the window solve's proven lower bound (see
+    :class:`MIPTimings`).
     """
 
     index: int
@@ -154,16 +151,19 @@ class WindowTiming:
     nnz: int
     objective: float | None = None
     gap: float | None = None
-    warm_start_used: bool = False
+    dual_bound: float | None = None
 
 
 @dataclass(frozen=True)
 class MIPTimings:
     """Assembly/solve split of the last :meth:`MIPScheduler.schedule`.
 
-    ``warm_start_used`` is True when the solve was seeded with the
-    previous round's solution through the direct HiGHS bindings (the
-    shape matched and HiGHS accepted the seed).
+    ``dual_bound`` is a proven lower bound on the optimum of the solved
+    model, so ``objective - dual_bound`` is how far the solve may sit
+    from optimal: HiGHS's MIP dual bound for integer solves, the LP
+    relaxation's objective for relax-and-fix, and ``None`` for LP
+    solves (``integer_vms=False``) and for windowed solves as a whole
+    (each :class:`WindowTiming` carries its own).
 
     For decomposed solves (``MIPScheduler(decompose=...)``):
 
@@ -183,10 +183,10 @@ class MIPTimings:
     n_rows: int
     n_cols: int
     nnz: int
-    warm_start_used: bool = False
     objective: float | None = None
     mode: str = "monolithic"
     gap: float | None = None
+    dual_bound: float | None = None
     fell_back: bool = False
     windows: tuple[WindowTiming, ...] = ()
 
@@ -592,18 +592,9 @@ class MIPScheduler:
             accepted when the limit strikes.
         mip_rel_gap: Relative optimality gap at which HiGHS may stop.
         epsilon: Anchor weight keeping u finite (see module docstring).
-        warm_start: Seed each solve with the previous solution when the
-            problem shape (rows x cols) is unchanged — the replanning
-            case, where solve time dominates assembly 13:1 at 200 sites
-            and successive rounds differ only in capacity forecasts.
-            Needs the ``highspy`` bindings (``scipy.optimize.milp``
-            cannot accept a seed); silently falls back to a cold
-            ``milp`` solve when they are missing, the shape changed, or
-            HiGHS rejects the seed.  :attr:`MIPTimings.warm_start_used`
-            reports what actually happened.
         decompose: Optional decomposition strategy for large instances:
             a :class:`~repro.sched.decompose.DecomposeSpec` or its
-            string form (e.g. ``"window:24,relax-fix,jobs:4"``, see
+            string form (e.g. ``"window:24,relax-fix"``, see
             :meth:`DecomposeSpec.parse`).  ``None`` (default) solves
             monolithically.
 
@@ -618,7 +609,6 @@ class MIPScheduler:
         time_limit_s: float = 120.0,
         mip_rel_gap: float = 1e-3,
         epsilon: float = 1e-6,
-        warm_start: bool = False,
         decompose: "DecomposeSpec | str | None" = None,
     ):
         if peak_weight < 0:
@@ -630,17 +620,12 @@ class MIPScheduler:
         self.time_limit_s = time_limit_s
         self.mip_rel_gap = mip_rel_gap
         self.epsilon = epsilon
-        self.warm_start = warm_start
         if isinstance(decompose, str):
             from .decompose import DecomposeSpec
 
             decompose = DecomposeSpec.parse(decompose)
         self.decompose = decompose
         self.last_timings: MIPTimings | None = None
-        # Previous solution vector + the (rows, cols) shape it solved,
-        # reused as a HiGHS seed only on an exact shape match.
-        self._warm_solution: np.ndarray | None = None
-        self._warm_shape: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
 
@@ -743,7 +728,7 @@ class MIPScheduler:
 
         with obs.timed_span("mip.solve") as solve_span:
             try:
-                x, warm_used, status = self._solve_model(model)
+                x, status, dual_bound = self._solve_model(model)
             except SolverError:
                 self.last_timings = MIPTimings(
                     assembly_s=assemble_span.wall_s,
@@ -753,15 +738,15 @@ class MIPScheduler:
                     nnz=model.matrix.nnz,
                 )
                 raise
-            solve_span.set(status=status, warm_start=warm_used)
+            solve_span.set(status=status, dual_bound=dual_bound)
         self.last_timings = MIPTimings(
             assembly_s=assemble_span.wall_s,
             solve_s=solve_span.wall_s,
             n_rows=model.shape[0],
             n_cols=model.shape[1],
             nnz=model.matrix.nnz,
-            warm_start_used=warm_used,
             objective=float(model.c @ x),
+            dual_bound=dual_bound,
         )
         return self._extract(problem, model.layout, x)
 
@@ -860,147 +845,50 @@ class MIPScheduler:
         relax: bool = False,
         lower: np.ndarray | None = None,
         upper: np.ndarray | None = None,
-        window: int | None = None,
-    ) -> tuple[np.ndarray, bool, int]:
-        """Solve one assembled model; return ``(x, warm_used, status)``.
+    ) -> tuple[np.ndarray, int, float | None]:
+        """Solve one assembled model; return ``(x, status, dual_bound)``.
+
+        ``dual_bound`` is HiGHS's MIP dual bound (``None`` for an LP).
 
         Args:
             model: The assembled instance.
             relax: Drop integrality (LP relaxation).
             lower / upper: Variable-bound overrides (relax-and-fix
                 passes tightened y bounds here).
-            window: Decomposition window index, attached to any
-                :class:`SolverError` for diagnosability.
 
         Raises:
             SolverError: when no feasible solution was produced; carries
-                the solver status, the window index, and the problem
-                shape.
+                the solver status and the problem shape.
         """
         integrality = (
             np.zeros(model.layout.n_vars) if relax else model.integrality
         )
-        lower = model.lower if lower is None else lower
-        upper = model.upper if upper is None else upper
-        x: np.ndarray | None = None
-        warm_used = False
-        if self.warm_start:
-            seeded = self._solve_highspy(
-                model.c, model.matrix, model.lb, model.ub,
-                integrality, lower, upper,
+        result = milp(
+            model.c,
+            constraints=LinearConstraint(model.matrix, model.lb, model.ub),
+            integrality=integrality,
+            bounds=Bounds(
+                model.lower if lower is None else lower,
+                model.upper if upper is None else upper,
+            ),
+            options={
+                "time_limit": self.time_limit_s,
+                "mip_rel_gap": self.mip_rel_gap,
+            },
+        )
+        status = int(result.status)
+        if result.x is None:
+            raise SolverError(
+                f"MIP failed: {result.message}",
+                status=status,
+                shape=model.shape,
             )
-            if seeded is not None:
-                x, warm_used = seeded
-                status = 0
-        if x is None:
-            result = milp(
-                model.c,
-                constraints=LinearConstraint(
-                    model.matrix, model.lb, model.ub
-                ),
-                integrality=integrality,
-                bounds=Bounds(lower, upper),
-                options={
-                    "time_limit": self.time_limit_s,
-                    "mip_rel_gap": self.mip_rel_gap,
-                },
-            )
-            status = int(result.status)
-            if result.x is None:
-                raise SolverError(
-                    f"MIP failed: {result.message}",
-                    status=status,
-                    window=window,
-                    shape=model.shape,
-                )
-            x = result.x
-        if self.warm_start:
-            self._warm_solution = np.asarray(x, dtype=float)
-            self._warm_shape = model.shape
-        return np.asarray(x, dtype=float), warm_used, status
-
-    def _solve_highspy(
-        self,
-        c: np.ndarray,
-        matrix: sparse.csr_matrix,
-        lb: np.ndarray,
-        ub: np.ndarray,
-        integrality: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-    ) -> tuple[np.ndarray, bool] | None:
-        """Solve through the direct HiGHS bindings, seeding the stored
-        solution when the problem shape matches.
-
-        Returns ``(x, warm_start_used)``, or ``None`` to make the
-        caller fall back to a cold :func:`scipy.optimize.milp` solve —
-        when ``highspy`` is not installed, the model fails to build, or
-        HiGHS does not finish with a feasible solution.  Any exception
-        inside the bindings is treated as "fall back", never raised:
-        the warm path is an optimization, not a dependency.
-        """
-        if highspy is None:
-            return None
-        try:
-            n_rows, n_cols = matrix.shape
-            csc = matrix.tocsc()
-            inf = highspy.kHighsInf
-            lp = highspy.HighsLp()
-            lp.num_col_ = n_cols
-            lp.num_row_ = n_rows
-            lp.col_cost_ = np.asarray(c, dtype=float)
-            lp.col_lower_ = np.asarray(lower, dtype=float)
-            lp.col_upper_ = np.where(np.isfinite(upper), upper, inf)
-            lp.row_lower_ = np.where(np.isfinite(lb), lb, -inf)
-            lp.row_upper_ = np.where(np.isfinite(ub), ub, inf)
-            lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-            lp.a_matrix_.start_ = csc.indptr
-            lp.a_matrix_.index_ = csc.indices
-            lp.a_matrix_.value_ = csc.data
-            if integrality.any():
-                lp.integrality_ = [
-                    highspy.HighsVarType.kInteger
-                    if flag
-                    else highspy.HighsVarType.kContinuous
-                    for flag in integrality
-                ]
-            solver = highspy.Highs()
-            solver.setOptionValue("output_flag", False)
-            solver.setOptionValue("time_limit", float(self.time_limit_s))
-            solver.setOptionValue("mip_rel_gap", float(self.mip_rel_gap))
-            if solver.passModel(lp) != highspy.HighsStatus.kOk:
-                return None
-            warm_used = False
-            if (
-                self._warm_solution is not None
-                and self._warm_shape == (n_rows, n_cols)
-            ):
-                seed = highspy.HighsSolution()
-                seed.value_valid = True
-                seed.col_value = list(self._warm_solution)
-                warm_used = (
-                    solver.setSolution(seed) == highspy.HighsStatus.kOk
-                )
-            solver.run()
-            status = solver.getModelStatus()
-            if status not in (
-                highspy.HighsModelStatus.kOptimal,
-                highspy.HighsModelStatus.kObjectiveBound,
-                highspy.HighsModelStatus.kObjectiveTarget,
-                highspy.HighsModelStatus.kTimeLimit,
-            ):
-                return None
-            info = solver.getInfo()
-            if info.primal_solution_status != (
-                highspy.SolutionStatus.kSolutionStatusFeasible
-            ):
-                return None
-            x = np.asarray(solver.getSolution().col_value, dtype=float)
-            if x.shape != (n_cols,):
-                return None
-            return x, warm_used
-        except Exception:  # pragma: no cover - binding-version drift
-            return None
+        dual_bound = result.get("mip_dual_bound")
+        return (
+            np.asarray(result.x, dtype=float),
+            status,
+            None if dual_bound is None else float(dual_bound),
+        )
 
     def _extract(
         self, problem: SchedulingProblem, layout: _Layout, x: np.ndarray
@@ -1122,9 +1010,6 @@ class RollingMIPScheduler:
         from .decompose import WindowState, build_window_problem, plan_windows
 
         state = WindowState(problem)
-        # One scheduler serves every chunk so warm-start state (the
-        # previous round's solution) survives across re-solves; with
-        # warm_start off this is just instance reuse.
         solver = MIPScheduler(**self.mip_kwargs)
         chunk_timings: list[MIPTimings] = []
         for plan in plan_windows(problem.grid.n, self.window_steps):

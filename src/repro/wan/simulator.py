@@ -8,7 +8,6 @@ constant, so it advances directly to the next event instead of ticking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

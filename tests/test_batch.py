@@ -12,7 +12,6 @@ from repro.batch import (
     BatchJob,
     CheckpointPolicy,
     HarvestScheduler,
-    JobState,
     variable_capacity_series,
     young_daly_interval,
 )
@@ -192,7 +191,7 @@ class TestPreemptionAndRollback:
             for i in range(20)
         ]
         capacity = rng.integers(0, 24, size=200).astype(float)
-        result = scheduler.run(jobs, capacity)
+        scheduler.run(jobs, capacity)
         for job in jobs:
             assert job.progress_core_steps <= job.work_core_steps + 1e-9
             assert job.committed_core_steps <= (

@@ -83,6 +83,17 @@ def test_schedule_decomposed(capsys):
     assert "Greedy" in out and "MIP-peak" in out
 
 
+def test_bad_decompose_spec_is_a_usage_error(capsys):
+    for command in (["schedule"], ["sweep", "--mode", "schedule"]):
+        for spec in ("frobnicate", "window:24,jobs:2"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(command + ["--decompose", spec])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --decompose" in err
+            assert "unknown decompose token" in err
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["warp-drive"])

@@ -3,7 +3,6 @@ admission, power models, and the eviction planner."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cluster import (

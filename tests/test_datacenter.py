@@ -13,13 +13,11 @@ from repro.cluster import (
     DatacenterConfig,
     EventKind,
     ServerSpec,
-    VMState,
 )
 from repro.errors import ConfigurationError
 from repro.traces import PowerTrace, synthesize_wind
 from repro.units import TimeGrid, grid_days
 from repro.workload import (
-    AzureWorkloadConfig,
     VMClass,
     VMRequest,
     VMType,

@@ -9,8 +9,6 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-import pytest
-
 README = Path(__file__).parent.parent / "README.md"
 DESIGN = Path(__file__).parent.parent / "DESIGN.md"
 EXPERIMENTS = Path(__file__).parent.parent / "EXPERIMENTS.md"

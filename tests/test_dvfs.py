@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.dvfs import (
-    DVFSStep,
     FrequencyScaling,
     absorb_step,
     dvfs_absorption_summary,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from datetime import datetime, timedelta
 
 import numpy as np
-import pytest
 
 from repro.cluster import (
     ClusterSpec,

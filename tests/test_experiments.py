@@ -112,6 +112,8 @@ class TestScenarioSerialization:
         with pytest.raises(ConfigurationError):
             PolicySpec("X", "mip", decompose="frobnicate:3")
         with pytest.raises(ConfigurationError):
+            PolicySpec("X", "mip", decompose="window:24,jobs:2")
+        with pytest.raises(ConfigurationError):
             # Decomposition only applies to plain MIP policies.
             PolicySpec("X", "rolling_mip", decompose="window:24")
 

@@ -22,7 +22,7 @@ from repro.forecast import (
     rmse,
     smape,
 )
-from repro.traces import PowerTrace, synthesize_solar, synthesize_wind
+from repro.traces import synthesize_solar, synthesize_wind
 from repro.units import grid_days
 
 

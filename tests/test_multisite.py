@@ -11,9 +11,6 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.multisite import (
-    DEFAULT_LATENCY_THRESHOLD_MS,
-    AggregationReport,
-    CostBreakdown,
     EconomicModel,
     GridPurchase,
     SiteGraph,
@@ -30,8 +27,6 @@ from repro.multisite import (
 )
 from repro.traces import (
     PowerTrace,
-    Site,
-    SiteCatalog,
     SpotPriceTrace,
     default_european_catalog,
     synthesize_catalog_traces,

@@ -5,8 +5,7 @@ from __future__ import annotations
 from datetime import datetime, timedelta
 
 import numpy as np
-import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterSpec, ServerSpec
 from repro.cluster.datacenter import _ServerPool
@@ -15,7 +14,6 @@ from repro.errors import SolverError
 from repro.sched import (
     GreedyScheduler,
     MIPScheduler,
-    Placement,
     SchedulingProblem,
     SiteCapacity,
     evaluate_placement_overhead,

@@ -4,7 +4,7 @@ The golden tests pin the decomposition contract from three angles:
 
 - *Separable instances* (no app or background crosses a window seam):
   every decomposition mode must reproduce the monolithic placement
-  exactly, including in parallel.
+  exactly.
 - *Seam carry*: when displacement is held across a window boundary,
   the decomposed solve charges the boundary ``u`` forward (objective-
   exact), while :class:`RollingMIPScheduler` deliberately re-charges
@@ -96,15 +96,11 @@ def seam_problem(second_dip=140.0, with_arrival=True):
 
 class TestDecomposeSpec:
     def test_parse_round_trip(self):
-        spec = DecomposeSpec.parse(
-            "window:24,overlap:4,relax-fix,gap:0.05,jobs:4,backend:thread"
-        )
+        spec = DecomposeSpec.parse("window:24,overlap:4,relax-fix,gap:0.05")
         assert spec.window_steps == 24
         assert spec.overlap_steps == 4
         assert spec.relax_fix is True
         assert spec.max_gap == 0.05
-        assert spec.jobs == 4
-        assert spec.backend == "thread"
         assert DecomposeSpec.parse(spec.token()) == spec
 
     def test_token_is_canonical(self):
@@ -116,8 +112,13 @@ class TestDecomposeSpec:
         assert spec.fallback is False
 
     def test_unknown_token_raises(self):
-        with pytest.raises(SolverError):
-            DecomposeSpec.parse("window:24,frobnicate")
+        for text in (
+            "window:24,frobnicate",
+            "window:24,jobs:2",
+            "window:24,backend:thread",
+        ):
+            with pytest.raises(SolverError):
+                DecomposeSpec.parse(text)
 
     def test_bad_value_raises(self):
         with pytest.raises(SolverError):
@@ -131,7 +132,7 @@ class TestDecomposeSpec:
         with pytest.raises(SolverError):
             DecomposeSpec()
         with pytest.raises(SolverError):
-            DecomposeSpec.parse("jobs:4")
+            DecomposeSpec.parse("overlap:4")
 
     def test_scheduler_accepts_spec_or_string(self):
         by_str = MIPScheduler(decompose="window:24")
@@ -179,8 +180,6 @@ class TestGoldenSeparable:
     @pytest.mark.parametrize("spec", [
         "window:24",
         "window:24,overlap:6",
-        "window:24,jobs:2,backend:thread",
-        "window:24,jobs:2,backend:serial",
         "relax-fix",
         "window:24,relax-fix",
     ])
@@ -220,6 +219,9 @@ class TestGoldenSeparable:
         assert t.gap is not None
         assert t.gap <= 0.01
         assert t.fell_back is False
+        # The LP bound is relax-fix's proven lower bound.
+        assert t.dual_bound is not None
+        assert t.dual_bound <= t.objective + 1e-6
 
 
 class TestSeamCarry:
@@ -252,6 +254,36 @@ class TestSeamCarry:
         # holding — the 30-core floor sits under the carried u.
         assert w0.objective == pytest.approx(40.0, abs=0.1)
         assert w1.objective < 1.0
+
+    def test_held_displacement_crosses_an_idle_seam(self):
+        """No app is alive at the step-24 seam, yet the 40 cores that
+        app 0 displaced at ``a`` stay displaced across it.  App 1's
+        30-core floor at ``a`` then costs nothing, where ``b`` would
+        cost 20 GB: a window 2 solved from ``u = 0`` would pick ``b``."""
+        n = 48
+        cap_a = np.full(n, 400.0)
+        cap_a[10:14] = 110.0  # app 0 at a: floor 150 - 110 = 40
+        cap_a[30:34] = 30.0  # app 1 at a: floor 60 - 30 = 30 <= 40
+        cap_b = np.full(n, 100.0)
+        cap_b[30:34] = 40.0  # app 1 at b: floor 60 - 40 = 20
+        sites = (
+            SiteCapacity("a", 400, cap_a),
+            SiteCapacity("b", 100, cap_b),
+        )
+        apps = (
+            Application(0, 0, 20, 1, VMType("xl", 150, 300.0), 1.0),
+            Application(1, 26, 10, 1, VMType("l", 60, 120.0), 1.0),
+        )
+        problem = SchedulingProblem(
+            make_grid(n), sites, apps, bytes_per_core=1e9,
+            utilization_cap=0.9,
+        )
+        for spec in (None, "window:24"):
+            placement = MIPScheduler(decompose=spec).schedule(problem)
+            assert placement.assignment == {0: {"a": 1}, 1: {"a": 1}}
+            assert placement_objective(problem, placement) == (
+                pytest.approx(40.0, abs=0.01)
+            )
 
     def test_rolling_recharges_displacement_from_zero(self):
         problem = seam_problem()
@@ -298,6 +330,40 @@ class TestSeamCarry:
         with pytest.raises(SolverError):
             MIPScheduler().schedule(
                 problem, initial_displacement={"a": -1.0})
+
+
+class TestDualBound:
+    """Every integer solve reports HiGHS's proven lower bound, and its
+    objective lies within ``mip_rel_gap`` of it."""
+
+    def test_integer_solve_is_within_its_gap(self):
+        scheduler = MIPScheduler()
+        with obs.use(obs.MemorySink()) as mem:
+            scheduler.schedule(seam_problem())
+        t = scheduler.last_timings
+        assert t.dual_bound is not None
+        assert t.dual_bound <= t.objective
+        assert t.objective - t.dual_bound <= (
+            scheduler.mip_rel_gap * abs(t.objective) + 1e-6
+        )
+        solve = next(
+            r for r in mem.records
+            if r.get("type") == "span" and r["name"] == "mip.solve")
+        assert solve["attrs"]["dual_bound"] == t.dual_bound
+
+    def test_windows_carry_their_own_bound(self):
+        scheduler = MIPScheduler(decompose="window:24")
+        scheduler.schedule(seam_problem())
+        t = scheduler.last_timings
+        assert t.dual_bound is None
+        for w in t.windows:
+            assert w.dual_bound is not None
+            assert w.dual_bound <= w.objective + 1e-9
+
+    def test_lp_solve_has_no_bound(self):
+        scheduler = MIPScheduler(integer_vms=False)
+        scheduler.schedule(seam_problem())
+        assert scheduler.last_timings.dual_bound is None
 
 
 class TestAssemblerGolden:
@@ -445,53 +511,3 @@ class TestObservability:
             lines[schedule_idx].lstrip())
         for line in window_lines:
             assert len(line) - len(line.lstrip()) > schedule_indent
-
-
-highspy = pytest.importorskip  # placate linters; real guard below
-try:
-    import highspy  # type: ignore[no-redef]  # noqa: F811
-except ImportError:
-    highspy = None
-
-
-class TestWarmStartChaining:
-    @pytest.mark.skipif(highspy is None, reason="needs highspy")
-    def test_warm_start_used_flips_true_on_resolve(self):
-        """Satellite: with highspy installed, the second solve of an
-        identically-shaped model is seeded from the first."""
-        problem = separable_problem()
-        scheduler = MIPScheduler(warm_start=True)
-        scheduler.schedule(problem)
-        assert scheduler.last_timings.warm_start_used is False
-        scheduler.schedule(problem)
-        assert scheduler.last_timings.warm_start_used is True
-
-    @pytest.mark.skipif(highspy is None, reason="needs highspy")
-    def test_windowed_chain_seeds_later_windows(self):
-        """Equal-shaped consecutive windows warm-start from their
-        predecessor inside a single decomposed schedule call."""
-        n = 48
-        sites = (
-            SiteCapacity("a", 400, np.full(n, 400.0)),
-            SiteCapacity("b", 400, np.full(n, 300.0)),
-        )
-        apps = (
-            make_app(0, arrival=2, duration=18, vms=10, cores=4),
-            make_app(1, arrival=26, duration=18, vms=10, cores=4),
-        )
-        problem = SchedulingProblem(
-            make_grid(n), sites, apps, bytes_per_core=1e9,
-            utilization_cap=0.9,
-        )
-        scheduler = MIPScheduler(decompose="window:24")
-        scheduler.schedule(problem)
-        t = scheduler.last_timings
-        assert t.windows[1].warm_start_used is True
-
-    def test_decomposed_forces_inner_warm_start(self):
-        """Even without highspy the windowed path requests chaining —
-        it is opportunistic and must not change results."""
-        problem = separable_problem()
-        cold = MIPScheduler(decompose="window:24", warm_start=False)
-        placement = cold.schedule(problem)
-        placement.validate_complete(problem)

@@ -24,9 +24,7 @@ from repro.sched import (
     problem_from_forecasts,
 )
 from repro.sched.decompose import (
-    DecomposeSpec,
     WindowState,
-    _windows_separable,
     build_window_problem,
     plan_windows,
 )
@@ -284,12 +282,6 @@ class TestDecomposedGridSeams:
         state.grid_spent_mwh["a"] = 150.0
         built3 = build_window_problem(problem, plans[2], state)
         assert built3.problem.grid_pricing.budget_mwh["a"] == 0.0
-
-    def test_finite_budget_disables_parallel_windows(self):
-        pricing = make_pricing(budget=100.0)
-        problem = self.lulled_arrivals_problem(pricing)
-        plans = plan_windows(24, 8)
-        assert not _windows_separable(problem, plans, None, None)
 
     def test_windowed_matches_monolithic_quality(self):
         # The lull fits inside window 2, so its solve sees the whole

@@ -7,7 +7,6 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from repro.cluster import ServerSpec
 from repro.errors import CapacityError, SchedulingError, SolverError
 from repro.forecast import NoisyOracleForecaster
 from repro.multisite import SiteGraph
@@ -15,7 +14,6 @@ from repro.sched import (
     CoScheduler,
     GreedyScheduler,
     MIPScheduler,
-    Placement,
     RollingMIPScheduler,
     SchedulingProblem,
     SiteCapacity,
@@ -25,11 +23,10 @@ from repro.sched import (
 from repro.sched.mip import _round_preserving_sum
 from repro.sched.placement import powered_server_count
 from repro.traces import (
-    PowerTrace,
     default_european_catalog,
     synthesize_catalog_traces,
 )
-from repro.units import TimeGrid, grid_days
+from repro.units import TimeGrid
 from repro.workload import Application, VMClass, VMRequest, VMType
 
 START = datetime(2020, 5, 1)
@@ -255,10 +252,9 @@ class TestRoundPreservingSum:
 
 
 class TestWarmStart:
-    """HiGHS warm-starting is strictly opportunistic: without the
-    ``highspy`` package (or on any seeding failure) the scheduler must
-    fall back to the cold ``scipy.optimize.milp`` path, produce an
-    identical-quality placement, and report ``warm_start_used=False``."""
+    """One scheduler re-solves: nothing from a previous solve carries
+    into the next, so a repeat gives the same placement and a problem
+    of another shape solves cleanly."""
 
     def small_problem(self):
         return two_site_problem(
@@ -270,27 +266,24 @@ class TestWarmStart:
         scheduler = MIPScheduler()
         placement = scheduler.schedule(self.small_problem())
         placement.validate_complete(self.small_problem())
-        assert scheduler.last_timings is not None
-        assert scheduler.last_timings.warm_start_used is False
+        t = scheduler.last_timings
+        assert t is not None
+        assert t.mode == "monolithic"
+        assert t.fell_back is False
+        assert t.gap is None
+        assert t.windows == ()
 
     def test_warm_start_falls_back_cleanly(self):
         problem = self.small_problem()
-        scheduler = MIPScheduler(warm_start=True)
+        scheduler = MIPScheduler()
         first = scheduler.schedule(problem)
         first.validate_complete(problem)
-        # Second solve of the same shape: the previous solution is a
-        # candidate seed — used only when highspy accepts it, never
-        # required for correctness.
         second = scheduler.schedule(problem)
         second.validate_complete(problem)
-        try:
-            import highspy  # noqa: F401
-        except ImportError:
-            assert scheduler.last_timings.warm_start_used is False
         assert first.assignment == second.assignment
 
     def test_shape_change_resets_seed(self):
-        scheduler = MIPScheduler(warm_start=True)
+        scheduler = MIPScheduler()
         small = self.small_problem()
         scheduler.schedule(small).validate_complete(small)
         bigger = two_site_problem(
@@ -299,22 +292,6 @@ class TestWarmStart:
         )
         placement = scheduler.schedule(bigger)
         placement.validate_complete(bigger)
-
-    def test_rolling_mip_accepts_warm_start(self):
-        n = 48
-        apps = [make_app(0, arrival=0, duration=24, vms=5),
-                make_app(1, arrival=24, duration=24, vms=5)]
-        sites = (
-            SiteCapacity("a", 1000, np.full(n, 700.0)),
-            SiteCapacity("b", 1000, np.full(n, 600.0)),
-        )
-        problem = SchedulingProblem(
-            make_grid(n), sites, tuple(apps), bytes_per_core=1.0
-        )
-        placement = RollingMIPScheduler(
-            window_steps=24, warm_start=True
-        ).schedule(problem)
-        placement.validate_complete(problem)
 
 
 class TestRollingMIP:

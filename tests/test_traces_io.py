@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from datetime import datetime
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from repro.traces import (
     trace_to_csv,
     catalog_traces_to_csv,
 )
-from repro.units import grid_days
 
 
 def test_roundtrip(tmp_path, week_grid):
