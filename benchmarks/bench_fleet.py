@@ -16,9 +16,10 @@ Two baselines on purpose, reported side by side:
 * ``speedup_vs_looped_kernel`` — against per-site ``Datacenter.run``
   calls on the step kernel: the same per-site driver over the same
   SoA kernel, already skipping idle steps, but keeping each site's
-  per-VM event log, which fleet sites skip by default
+  per-VM event log, which a direct ``FleetEngine`` skips by default
   (``record_events=False``).  The fleet's win here is that event log
-  and nothing else.  This is the hard CI gate (>= 1.0x, on medians of
+  and nothing else, so the margin over 1.0x is what recording the
+  logs costs.  This is the hard CI gate (>= 1.0x, on medians of
   three interleaved rounds).
 * ``speedup_vs_dense_looped`` — against per-site runs of the dense
   object-model oracle that walk all 35,040 steps.  This is the
@@ -220,8 +221,11 @@ def test_fleet_vs_looped_64site_year():
         speedup_vs_dense_looped=speedup_vs_dense,
     )
     # Hard gate: both sides run the same per-site driver over the same
-    # SoA kernel and the fleet skips the event logs, so its per-site
-    # loop must cost no more than the logs it saves.
+    # SoA kernel and only the looped runs keep event logs, so the
+    # margin over 1.0x is the logs' cost and nothing else: 1.05-1.11x
+    # on a 2-core box with the columnar log, against 1.30x when each
+    # event was a tuple that the garbage collector tracked.  The
+    # fleet's own loop must cost no more than the logs it saves.
     assert speedup_vs_kernel >= 1.0
     # Acceptance headroom vs the dense per-site reference loop.
     assert speedup_vs_dense >= 3.0

@@ -548,10 +548,11 @@ class Datacenter:
             ``"open"``: the stack's precomputed delivered series
             replaces the trace values up front and the engines run
             untouched, skips and all.
-        record_events: Keep the per-VM event log (default).  Fleet-scale
-            runs pass ``False`` to record columns only — results are
-            identical except :attr:`events` stays empty.  Every run
-            starts a fresh log.
+        record_events: Keep the per-VM event log (default).  ``False``
+            records columns only — results are identical except
+            :attr:`events` stays empty; a direct ``FleetEngine(...)``
+            builds its sites that way, ``simulate([...])`` does not.
+            Every run starts a fresh log.
     """
 
     def __init__(

@@ -37,7 +37,10 @@ DELETE    /sessions/{id}                     forget the session
 
 Every session runs the step kernel; any ``engine`` other than the two
 names for it is a 400 (the dense object-model oracle is a test
-reference, not served).  Errors map to ``{"error": ...}`` with 400
+reference, not served).  Every route under ``/sessions`` except the
+listing runs inside a ``serve.request`` span tagged with the session
+id and its action (``create``, ``restore``, ``tick``, ``delete``,
+...).  Errors map to ``{"error": ...}`` with 400
 (:class:`SessionError` / bad input), 404
 (:class:`UnknownSessionError` or an unknown route), or 405.
 """
@@ -170,10 +173,13 @@ def create_app(registry: SessionRegistry | None = None):
             await _send_json(send, 405, {"error": "method not allowed"})
             return
         if path == "/sessions/restore" and method == "POST":
-            blob = await _read_body(receive)
-            session_id = _query(scope).get("session_id")
-            session = registry.restore(blob, session_id=session_id)
-            await _send_json(send, 201, session.status())
+            with obs.span("serve.request", action="restore") as span:
+                blob = await _read_body(receive)
+                session = registry.restore(
+                    blob, session_id=_query(scope).get("session_id")
+                )
+                span.set(session=session.session_id)
+                await _send_json(send, 201, session.status())
             return
         parts = path.strip("/").split("/")
         if len(parts) >= 2 and parts[0] == "sessions":
@@ -186,28 +192,33 @@ def create_app(registry: SessionRegistry | None = None):
         await _send_json(send, 404, {"error": f"no route: {path}"})
 
     async def _create_session(receive, send):
-        payload = _json_body(await _read_body(receive))
-        scenario = payload.get("scenario")
-        if not isinstance(scenario, dict):
-            raise SessionError(
-                "POST /sessions needs a 'scenario' object"
-                " (Scenario.to_dict form)"
+        with obs.span("serve.request", action="create") as span:
+            payload = _json_body(await _read_body(receive))
+            scenario = payload.get("scenario")
+            if not isinstance(scenario, dict):
+                raise SessionError(
+                    "POST /sessions needs a 'scenario' object"
+                    " (Scenario.to_dict form)"
+                )
+            session = registry.create_from_scenario(
+                scenario,
+                engine=payload.get("engine", "event"),
+                record_events=bool(payload.get("record_events", True)),
+                session_id=payload.get("session_id"),
+                seed=int(payload.get("seed", 0)),
             )
-        session = registry.create_from_scenario(
-            scenario,
-            engine=payload.get("engine", "event"),
-            record_events=bool(payload.get("record_events", True)),
-            session_id=payload.get("session_id"),
-            seed=int(payload.get("seed", 0)),
-        )
-        await _send_json(send, 201, session.status())
+            span.set(session=session.session_id)
+            await _send_json(send, 201, session.status())
 
     async def _session_route(
         method, session_id, action, scope, receive, send
     ):
         if action is None and method == "DELETE":
-            registry.delete(session_id)
-            await _send_json(send, 200, {"deleted": session_id})
+            with obs.span(
+                "serve.request", session=session_id, action="delete"
+            ):
+                registry.delete(session_id)
+                await _send_json(send, 200, {"deleted": session_id})
             return
         session = registry.get(session_id)
         with obs.span(

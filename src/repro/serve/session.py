@@ -44,7 +44,7 @@ from ..supply.components import BatteryDispatch, PricedGridPower
 __all__ = ["SimSession", "SessionError"]
 
 #: Version tag leading every checkpoint blob; bumped on layout changes.
-CHECKPOINT_FORMAT = "repro-session/3"
+CHECKPOINT_FORMAT = "repro-session/4"
 
 #: Injection kinds :meth:`SimSession.inject` accepts.
 INJECT_KINDS = ("battery_soc", "grid_budget", "blackout", "spot_price")
@@ -535,11 +535,13 @@ class SimSession:
         """An independent copy of the session at the current step.
 
         The clone shares nothing with the original — diverge it with
-        injections, race it ahead, throw it away.
+        injections, race it ahead, throw it away.  The parent's audit
+        log is left as it was; the clone's is the parent's history
+        plus one ``fork`` entry.
         """
-        clone = SimSession.restore(
-            self.checkpoint(),
-            session_id=session_id or f"{self.session_id}-fork",
+        clone = pickle.loads(
+            pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
         )
+        clone.session_id = session_id or f"{self.session_id}-fork"
         clone._audit("fork", parent=self.session_id)
         return clone

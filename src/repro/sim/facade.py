@@ -57,8 +57,9 @@ def simulate(
             ``"dense"`` oracle.  Only the datacenter route has two
             engines; the fleet and placement-replay routes check the
             name and run their one loop.
-        record_events: Keep per-VM event logs on fleet runs (single
-            datacenters record events per their own construction flag).
+        record_events: Keep per-VM event logs on fleet runs (default
+            on; single datacenters record events per their own
+            construction flag).
         **kwargs: Route-specific options passed through (for placement
             replay: ``cluster``, ``eviction_order``, ``supply``,
             ``supply_mode``).

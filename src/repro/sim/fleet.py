@@ -22,9 +22,11 @@ The golden tests pin fleet output bit-identical (records and
 summaries) to N independent ``Datacenter.run`` calls, the dense oracle
 included.
 
-By default fleet sites skip the per-VM event log
-(``record_events=False``): at 500 sites × 1 year the audit trail is
-pure overhead.  Pass ``record_events=True`` to keep it.
+Whether sites keep their per-VM event logs depends on the entry point.
+``simulate([...])``, the route the ``Runner`` and the end-to-end
+benchmark fleets take, keeps them (``record_events=True`` by default).
+A direct ``FleetEngine(...)`` skips them unless given
+``record_events=True``.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ class FleetEngine:
     Args:
         sites: Fleet members; traces may differ in length.
         record_events: Keep each site's per-VM event log.  Off by
-            default — fleet runs record per-step columns only.
+            default here, so a direct engine records per-step columns
+            only; :func:`~repro.sim.simulate` passes ``True`` unless
+            told otherwise.
     """
 
     def __init__(

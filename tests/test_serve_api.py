@@ -9,12 +9,14 @@ no optional dependencies.  When the ``serve`` extra is installed
 
 from __future__ import annotations
 
+import pickle
 from datetime import datetime
 
 import pytest
 
 from tests.test_fleet import reference_run
 
+from repro import obs
 from repro.experiments import Scenario
 from repro.experiments.runner import fleet_sites_for_scenario
 from repro.experiments.scenario import WorkloadSpec
@@ -181,8 +183,32 @@ class TestEndpoints:
             )
         assert summaries[0] == summaries[1] == summaries[2]
 
+    def test_lifecycle_routes_traced(self, client):
+        with obs.use(obs.MemorySink()) as mem:
+            sid = create_session(client)["session_id"]
+            blob = client.get(f"/sessions/{sid}/checkpoint").body
+            client.post("/sessions/restore?session_id=copy", data=blob)
+            client.delete(f"/sessions/{sid}")
+        requests = [
+            (span["attrs"]["action"], span["attrs"]["session"])
+            for span in mem.spans()
+            if span["name"] == "serve.request"
+        ]
+        assert requests == [
+            ("create", sid),
+            ("checkpoint", sid),
+            ("restore", "copy"),
+            ("delete", sid),
+        ]
+
     def test_list_delete_and_errors(self, client):
         sid = create_session(client)["session_id"]
+        # A checkpoint envelope of the previous format, whose event log
+        # pickled as row tuples.
+        stale = pickle.dumps({
+            "format": "repro-session/3",
+            "session": client.app.registry.get(sid),
+        })
         listing = client.get("/sessions").json()["sessions"]
         assert [entry["session_id"] for entry in listing] == [sid]
 
@@ -207,6 +233,7 @@ class TestEndpoints:
         assert client.post("/sessions", data=b"{broken").status == 400
         assert client.request("PUT", "/sessions").status == 405
         assert client.post("/sessions/restore", data=b"junk").status == 400
+        assert client.post("/sessions/restore", data=stale).status == 400
 
     def test_engine_soa_session(self, client):
         status = create_session(client, engine="soa")

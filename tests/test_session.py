@@ -324,8 +324,22 @@ class TestCheckpointRestore:
             SimSession.restore(pickle.dumps({"format": "other/9"}))
         with pytest.raises(SessionError):
             SimSession.restore(pickle.dumps({"format": "repro-session/2"}))
+        # /3 pickled the event log as row tuples.
+        with pytest.raises(SessionError):
+            SimSession.restore(pickle.dumps({"format": "repro-session/3"}))
         with pytest.raises(SessionError):
             SimSession.restore(pickle.dumps([1, 2, 3]))
+
+    def test_fork_audits_only_the_clone(self):
+        session = SimSession(make_site(3, 300, 80), session_id="parent")
+        session.advance(40)
+        history = session.audit_tail()
+        clone = session.fork("child")
+        assert session.audit_tail() == history
+        assert clone.audit_tail() == history + [{
+            "seq": len(history), "step": 40, "event": "fork",
+            "parent": "parent",
+        }]
 
 
 class TestMultiSite:
