@@ -89,6 +89,7 @@ def bench_json_writer():
         "machine": {
             "cpus": os.cpu_count() or 1,
             "python": sys.version.split()[0],
+            "numpy": np.__version__,
         },
         "kernels": dict(sorted(_RESULTS.items())),
     }
@@ -162,7 +163,8 @@ def test_perf_ar1_kernel_year(benchmark):
 
 
 def test_perf_parallel_sweep(tmp_path_factory):
-    """8-scenario sweep, jobs=1 vs jobs=4, cold caches both times.
+    """8-scenario sweep, jobs=1 (in-process) vs jobs=4 (process pool),
+    cold caches both times.
 
     Results must be identical; the wall-clock ratio is the measured
     batch speedup.  The assertion threshold follows the CPUs actually
@@ -182,12 +184,10 @@ def test_perf_parallel_sweep(tmp_path_factory):
     parallel_cache = tmp_path_factory.mktemp("sweep-cache-parallel")
 
     serial = run_scenarios(
-        scenarios, jobs=1, backend="serial",
-        cache=ArtifactCache(serial_cache),
+        scenarios, jobs=1, cache=ArtifactCache(serial_cache)
     )
     parallel = run_scenarios(
-        scenarios, jobs=4, backend="process",
-        cache=ArtifactCache(parallel_cache),
+        scenarios, jobs=4, cache=ArtifactCache(parallel_cache)
     )
 
     assert serial.summaries() == parallel.summaries()

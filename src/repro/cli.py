@@ -18,12 +18,11 @@ which ``repro report`` renders as a span tree with the slowest spans
 and metric totals.
 
 Every command is deterministic for a given ``--seed`` and prints the
-same style of report the benchmark harness writes.  ``simulate`` /
-``schedule`` accept ``--jobs`` to fan their per-site / per-policy
-stages across threads; ``sweep`` expands a parameter grid into
-scenarios and fans them across processes (``--jobs``, ``--backend``,
-``$REPRO_JOBS``), printing a fleet summary with per-task timings and
-the measured speedup.
+same style of report the benchmark harness writes.  ``schedule``
+accepts ``--jobs`` to solve its policies on threads; ``sweep`` expands
+a parameter grid into scenarios and fans them across processes
+(``--jobs``, ``$REPRO_JOBS``), printing a fleet summary with per-task
+timings and the measured speedup.
 
 The pipeline commands (``simulate``, ``schedule``) build a declarative
 :class:`~repro.experiments.Scenario` and execute it through
@@ -77,10 +76,10 @@ from .sched import DecomposeSpec
 from .supply import GRID_POLICIES
 from .supply.spec import CARBON_TRACES, PRICE_TRACES
 from .traces import (
+    catalog_traces_to_csv,
     default_european_catalog,
     synthesize_solar,
     synthesize_wind,
-    trace_to_csv,
 )
 from .units import TimeGrid, grid_days
 
@@ -236,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(synthesize)
     _add_cache_options(synthesize)
-    _add_jobs_option(synthesize)
     synthesize.add_argument(
         "--sites", nargs="+", required=True,
         help="catalog site names (see 'repro sites')",
@@ -264,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(simulate)
     _add_cache_options(simulate)
-    _add_jobs_option(simulate)
     _add_trace_option(simulate)
     simulate.add_argument(
         "--kind", choices=("solar", "wind"), default="wind"
@@ -333,12 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="grid axis (schedule mode): application counts",
     )
     sweep.add_argument(
-        "--backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="executor backend (auto: process when jobs > 1)",
-    )
-    sweep.add_argument(
         "--decompose", type=_decompose_spec, default=None, metavar="SPEC",
         help="schedule mode: decompose the MIP policies' solves,"
         " e.g. 'window:24,relax-fix'",
@@ -399,27 +390,9 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     traces = cached_catalog_traces(
         catalog, grid, args.seed, _cache_from_args(args)
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def write(item):
-        name, trace = item
-        path = out / f"{name}.csv"
-        trace_to_csv(trace, path)
-        return f"wrote {path} ({len(trace)} samples)"
-
-    jobs = _jobs_from_args(args)
-    if jobs > 1 and len(traces) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(
-            max_workers=min(jobs, len(traces))
-        ) as pool:
-            lines = list(pool.map(write, traces.items()))
-    else:
-        lines = [write(item) for item in traces.items()]
-    for line in lines:
-        print(line)
+    paths = catalog_traces_to_csv(traces, args.out)
+    for path, trace in zip(paths, traces.values()):
+        print(f"wrote {path} ({len(trace)} samples)")
     return 0
 
 
@@ -471,7 +444,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cache=cache,
         use_cache=cache is not None,
         manifest_dir=_manifest_dir_from_args(args, cache),
-        jobs=_jobs_from_args(args),
     ).run()
     sim = result.simulations[site]
     out_gb = sim.out_gb_series()
@@ -671,7 +643,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     batch = run_scenarios(
         scenarios,
         jobs=_jobs_from_args(args, fallback=None),
-        backend=args.backend,
         cache=cache,
         use_cache=cache is not None,
         manifest_dir=manifest_dir,

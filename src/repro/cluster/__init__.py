@@ -15,13 +15,6 @@ configuration/result types it exposes.
 from .resources import ServerSpec, ClusterSpec
 from .server import Server
 from .vm import VM, VMState
-from .allocation import (
-    AllocationPolicy,
-    BestFit,
-    FirstFit,
-    WorstFit,
-    make_policy,
-)
 from .admission import AdmissionControl
 from .power import PowerModel, LinearCorePower, ServerGranularPower
 from .migration import EvictionPlanner, EvictionOrder
@@ -44,11 +37,6 @@ __all__ = [
     "Server",
     "VM",
     "VMState",
-    "AllocationPolicy",
-    "BestFit",
-    "FirstFit",
-    "WorstFit",
-    "make_policy",
     "AdmissionControl",
     "PowerModel",
     "LinearCorePower",

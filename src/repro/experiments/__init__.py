@@ -14,10 +14,12 @@ trace→forecast→schedule→execute→analyze pipeline:
 - each run emits a :class:`RunManifest` (per-stage wall time, cache
   hit/miss, seeds, artifact hashes, result summary) written as JSON
   next to the text reports;
-- batches of scenarios fan out across workers via
-  :func:`run_scenarios` (serial/thread/process backends, ``--jobs`` /
-  ``$REPRO_JOBS``), sharing the artifact cache and emitting a
-  :class:`FleetManifest` with per-task timings and measured speedup.
+- batches of scenarios fan out across worker processes via
+  :func:`run_scenarios` (``--jobs`` / ``$REPRO_JOBS``; one worker runs
+  in-process), sharing the artifact cache and emitting a
+  :class:`FleetManifest` with per-task timings and measured speedup;
+  inside one scenario, ``Runner(jobs=N)`` solves the policies on
+  threads.
 
 Quickstart::
 
@@ -57,7 +59,6 @@ from .defaults import (
 from .parallel import (
     BatchResult,
     auto_jobs,
-    resolve_backend,
     resolve_jobs,
     run_scenarios,
 )
@@ -91,7 +92,6 @@ __all__ = [
     "run_scenario",
     "BatchResult",
     "auto_jobs",
-    "resolve_backend",
     "resolve_jobs",
     "run_scenarios",
     "ComputeSpec",

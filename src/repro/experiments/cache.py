@@ -24,8 +24,6 @@ import json
 import os
 import tempfile
 import zipfile
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -216,6 +214,30 @@ def catalog_trace_key(
     return fragment_hash(trace_fragment(catalog, grid, seed))
 
 
+def stage_catalog_traces(
+    catalog: SiteCatalog,
+    grid: TimeGrid,
+    seed: int,
+    cache: ArtifactCache | None,
+) -> tuple[dict[str, PowerTrace], bool | None]:
+    """Load catalog traces from the cache, or synthesize and store them.
+
+    Returns:
+        The traces, plus the cache lookup's outcome: ``True`` on a hit,
+        ``False`` on a miss, ``None`` when ``cache`` is ``None`` (no
+        lookup, no write).
+    """
+    if cache is None:
+        return synthesize_catalog_traces(catalog, grid, seed=seed), None
+    key = catalog_trace_key(catalog, grid, seed)
+    traces = get_traces(cache, key)
+    if traces is not None:
+        return traces, True
+    traces = synthesize_catalog_traces(catalog, grid, seed=seed)
+    put_traces(cache, key, traces)
+    return traces, False
+
+
 def cached_catalog_traces(
     catalog: SiteCatalog,
     grid: TimeGrid,
@@ -229,107 +251,7 @@ def cached_catalog_traces(
     key covers the sites (with coordinates), grid, and seed, and cached
     arrays round-trip exactly.  Pass ``cache=None`` to bypass caching.
     """
-    if cache is None:
-        return synthesize_catalog_traces(catalog, grid, seed=seed)
-    key = catalog_trace_key(catalog, grid, seed)
-    cached = get_traces(cache, key)
-    if cached is not None:
-        return cached
-    traces = synthesize_catalog_traces(catalog, grid, seed=seed)
-    put_traces(cache, key, traces)
-    return traces
-
-
-# ----------------------------------------------------------------------
-# Shared-memory trace bundles
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SharedTraces:
-    """Descriptor of a trace bundle staged in POSIX shared memory.
-
-    A tiny, picklable handle: the segment name plus per-site metadata
-    and array offsets.  Process-pool workers receive *this* instead of
-    the year-long float arrays themselves — attaching to the segment
-    and copying the slices out costs one memcpy per site, not a pickle
-    round-trip through the executor pipe.
-
-    Attributes:
-        shm_name: Name of the ``multiprocessing.shared_memory`` segment.
-        sites: Per-site metadata dicts (site key, trace name/kind/
-            capacity, grid, float64 element ``offset`` and ``size``).
-    """
-
-    shm_name: str
-    sites: tuple[dict, ...]
-
-
-def stage_shared_traces(
-    traces: Mapping[str, PowerTrace],
-) -> tuple[SharedTraces, shared_memory.SharedMemory]:
-    """Copy a trace mapping into one shared-memory segment.
-
-    Returns the picklable :class:`SharedTraces` descriptor plus the
-    live segment.  The caller owns the segment's lifetime: keep it
-    alive while workers may attach, then ``close()`` + ``unlink()``.
-    """
-    total = sum(int(trace.values.size) for trace in traces.values())
-    shm = shared_memory.SharedMemory(create=True, size=max(8, total * 8))
-    buffer = np.ndarray((total,), dtype=np.float64, buffer=shm.buf)
-    sites = []
-    offset = 0
-    for key, trace in traces.items():
-        values = np.asarray(trace.values, dtype=np.float64)
-        buffer[offset : offset + values.size] = values
-        sites.append(
-            {
-                "site": key,
-                "name": trace.name,
-                "kind": trace.kind,
-                "capacity_mw": float(trace.capacity_mw),
-                "grid": grid_to_dict(trace.grid),
-                "offset": offset,
-                "size": int(values.size),
-            }
-        )
-        offset += int(values.size)
-    del buffer  # release the exported view so close() can succeed
-    return SharedTraces(shm_name=shm.name, sites=tuple(sites)), shm
-
-
-def load_shared_traces(descriptor: SharedTraces) -> dict[str, PowerTrace]:
-    """Rebuild the trace mapping from a :class:`SharedTraces` handle.
-
-    Copies each site's slice out of the segment (the simulation may
-    outlive the segment) and closes the local attachment — the staging
-    parent owns the unlink.  Pool workers share the parent's resource
-    tracker, so the attach-side registration is idempotent and the
-    parent's ``unlink()`` retires it exactly once.
-    """
-    shm = shared_memory.SharedMemory(name=descriptor.shm_name)
-    try:
-        traces: dict[str, PowerTrace] = {}
-        for site in descriptor.sites:
-            values = np.frombuffer(
-                shm.buf,
-                dtype=np.float64,
-                count=site["size"],
-                offset=site["offset"] * 8,
-            ).copy()
-            traces[site["site"]] = PowerTrace(
-                grid=grid_from_dict(site["grid"]),
-                values=values,
-                name=site["name"],
-                kind=site["kind"],
-                capacity_mw=float(site["capacity_mw"]),
-            )
-    finally:
-        try:
-            shm.close()
-        except BufferError:  # a view still exported; OS reaps at exit
-            pass
-    return traces
+    return stage_catalog_traces(catalog, grid, seed, cache)[0]
 
 
 # ----------------------------------------------------------------------

@@ -8,14 +8,14 @@ through the canonical pipeline —
     traces -> workload -> forecast -> solve:<policy> -> execute:<policy>
            -> analyze
 
-``vm_requests`` workloads (the §3 single-site migration study)::
+``vm_requests`` workloads (the §3 migration study, one site or many)::
 
-    traces -> workload:<site> -> simulate:<site> -> analyze
+    traces -> workload:<site>... -> simulate:fleet -> analyze
 
-Multi-site ``vm_requests`` scenarios collapse the per-site simulate
-stages into one ``simulate:fleet`` stage: all sites run through one
-:class:`~repro.sim.fleet.FleetEngine` call, result-identical to the
-per-site loop.
+Every ``vm_requests`` scenario builds its sites with the function
+behind :func:`fleet_sites_for_scenario` and runs them in one
+:class:`~repro.sim.fleet.FleetEngine` call, result-identical to a
+``Datacenter.run`` per site.
 
 — consulting the artifact cache for the expensive stages (trace
 synthesis, forecast capacities, MIP solves) and recording a
@@ -29,6 +29,7 @@ import contextvars
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
@@ -36,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .. import obs
-from ..cluster import Datacenter, DatacenterConfig, SimulationResult
+from ..cluster import DatacenterConfig, SimulationResult
 from ..errors import ConfigurationError
 from ..sched import (
     GridPricing,
@@ -62,10 +63,9 @@ from ..workload import (
 )
 from .cache import (
     ArtifactCache,
-    get_traces,
     placement_from_jsonable,
     placement_to_jsonable,
-    put_traces,
+    stage_catalog_traces,
 )
 from .scenario import Scenario
 from .telemetry import RunManifest
@@ -85,7 +85,7 @@ class RunResult:
         placements: Policy name → placement (``applications`` mode).
         executions: Policy name → realized execution.
         comparison: Table-1-style policy comparison.
-        simulations: Site name → single-site simulation
+        simulations: Site name → per-site simulation
             (``vm_requests`` mode).
     """
 
@@ -110,11 +110,11 @@ def fleet_sites_for_scenario(
 ) -> list[FleetSite]:
     """Materialize a scenario's sites as ready-to-run :class:`FleetSite`\\ s.
 
-    The site-construction core of the Runner's ``vm_requests`` path —
-    same per-site trace synthesis, power-matched workload sizing, and
-    seed derivation — without the manifest/caching machinery, so live
-    session backends (``repro.serve``) and ad-hoc scripts can build the
-    exact fleet a :class:`~repro.experiments.Runner` would simulate.
+    The Runner's ``vm_requests`` site builder — same per-site trace
+    synthesis, power-matched workload sizing, and seed derivation —
+    without the manifest/caching machinery, so live session backends
+    (``repro.serve``) and ad-hoc scripts can build the exact fleet a
+    :class:`~repro.experiments.Runner` would simulate.
 
     Args:
         scenario: A ``vm_requests`` scenario (the ``applications``
@@ -131,32 +131,50 @@ def fleet_sites_for_scenario(
             f" {scenario.workload.kind!r}"
         )
     if traces is None:
-        from ..traces import synthesize_catalog_traces
-
-        traces = synthesize_catalog_traces(
+        traces, _ = stage_catalog_traces(
             scenario.catalog(),
             scenario.grid,
-            seed=scenario.effective_trace_seed,
+            scenario.effective_trace_seed,
+            None,
         )
+    return _fleet_sites(scenario, traces)
+
+
+def _fleet_sites(
+    scenario: Scenario,
+    traces: Mapping[str, PowerTrace],
+    manifest: RunManifest | None = None,
+) -> list[FleetSite]:
+    """Build one :class:`FleetSite` per scenario site, in scenario order.
+
+    With a ``manifest``, each site's request generation is timed as
+    its ``workload:<site>`` stage.
+    """
     spec = scenario.workload
     config = DatacenterConfig(admission_utilization=spec.utilization)
     supply_spec = scenario.supply
     sites = []
     for index, name in enumerate(scenario.sites):
         trace = traces[name]
+        stage = (
+            manifest.record(f"workload:{name}")
+            if manifest is not None
+            else nullcontext()
+        )
+        with stage:
+            workload = workload_matched_to_power(
+                float(trace.values.mean()),
+                config.cluster.total_cores,
+                utilization=spec.utilization,
+            )
+            requests = generate_vm_requests(
+                scenario.grid,
+                workload,
+                seed=scenario.effective_workload_seed + index,
+            )
         # Per-site stacks: priced specs synthesize their price/carbon
         # series on the site's own trace grid.
         supply = supply_spec.build(trace) if supply_spec.enabled else None
-        workload = workload_matched_to_power(
-            float(trace.values.mean()),
-            config.cluster.total_cores,
-            utilization=spec.utilization,
-        )
-        requests = generate_vm_requests(
-            scenario.grid,
-            workload,
-            seed=scenario.effective_workload_seed + index,
-        )
         sites.append(
             FleetSite(
                 name=name,
@@ -183,18 +201,18 @@ class Runner:
             ``None`` keeps the manifest in memory only (it is always
             available on the returned :class:`RunResult`).
         jobs: Intra-scenario fan-out.  With ``jobs > 1`` the per-policy
-            solve+execute stages (``applications`` mode) and the
-            per-site simulate stages (``vm_requests`` mode) run
-            concurrently on a thread pool; results and manifests are
-            identical to a serial run because every concurrent task is
-            self-contained (its own forecaster instance, scheduler, and
-            detached stage records merged back in declaration order).
+            solve+execute stages (``applications`` mode) run
+            concurrently on a thread pool, where the native HiGHS
+            solves overlap; results and manifests are identical to a
+            serial run because every concurrent task is self-contained
+            (its own forecaster instance, scheduler, and detached stage
+            records merged back in declaration order).
         traces: Pre-staged per-site traces.  When given, the ``traces``
             stage uses them directly instead of consulting the cache or
             synthesizing — the caller guarantees they match the
             scenario's trace fragment (:func:`run_scenarios` stages
-            them once per unique trace key and ships them to workers
-            through shared memory).
+            them once per unique trace key and passes them to each
+            task).
         traces_from_cache: Whether the pre-staged ``traces`` came out
             of the artifact cache; recorded as the traces stage's
             ``cache_hit`` so batch telemetry stays faithful.
@@ -246,20 +264,6 @@ class Runner:
             return None
         return f"thread:{threading.current_thread().name}"
 
-    def _supply_stack(
-        self, trace: PowerTrace | None = None
-    ) -> SupplyStack | None:
-        """The scenario's live supply stack, or None when disabled.
-
-        Priced specs synthesize their price/carbon series on ``trace``,
-        so callers pass the site's trace and receive a per-site stack;
-        unpriced specs ignore it.  Stacks are frozen — all mutable
-        dispatch state lives in per-run dispatcher/evaluation objects,
-        never on the stack itself.
-        """
-        spec = self.scenario.supply
-        return spec.build(trace) if spec.enabled else None
-
     def _grid_pricing(
         self, traces: Mapping[str, PowerTrace]
     ) -> GridPricing | None:
@@ -289,10 +293,10 @@ class Runner:
         capacity series (the same MWh would be counted twice).
         """
         spec = self.scenario.supply
-        stack = self._supply_stack(trace)
-        if stack is None or not (
-            spec.priced and spec.grid_budget_mwh > 0
-        ):
+        if not spec.enabled:
+            return None
+        stack = spec.build(trace)
+        if not (spec.priced and spec.grid_budget_mwh > 0):
             return stack
         return SupplyStack(
             tuple(
@@ -369,23 +373,16 @@ class Runner:
         key = scenario.trace_key()
         with manifest.record("traces") as stage:
             stage.artifact = key
-            traces = None
             if self.preloaded_traces is not None:
                 traces = self.preloaded_traces
                 stage.cache_hit = self.preloaded_from_cache
-            elif self.cache is not None:
-                traces = get_traces(self.cache, key)
-                stage.cache_hit = traces is not None
-            if traces is None:
-                from ..traces import synthesize_catalog_traces
-
-                traces = synthesize_catalog_traces(
+            else:
+                traces, stage.cache_hit = stage_catalog_traces(
                     scenario.catalog(),
                     scenario.grid,
-                    seed=scenario.effective_trace_seed,
+                    scenario.effective_trace_seed,
+                    self.cache,
                 )
-                if self.cache is not None:
-                    put_traces(self.cache, key, traces)
         manifest.artifacts["traces"] = key
         return traces
 
@@ -612,98 +609,15 @@ class Runner:
         )
 
     # ------------------------------------------------------------------
-    # vm_requests mode: the single-site Datacenter pipeline
+    # vm_requests mode: the migration study, every site in one fleet run
     # ------------------------------------------------------------------
 
     def _run_vm_requests(
         self, manifest: RunManifest, result: RunResult
     ) -> None:
-        scenario = self.scenario
-        spec = scenario.workload
-        config = DatacenterConfig(admission_utilization=spec.utilization)
-        supply_mode = scenario.supply.mode
-
-        def workload_task(index, name):
-            def build():
-                worker = self._worker_label()
-                trace = result.traces[name]
-                with manifest.record_detached(
-                    f"workload:{name}", worker
-                ) as stage:
-                    workload = workload_matched_to_power(
-                        float(trace.values.mean()),
-                        config.cluster.total_cores,
-                        utilization=spec.utilization,
-                    )
-                    requests = generate_vm_requests(
-                        scenario.grid,
-                        workload,
-                        seed=scenario.effective_workload_seed + index,
-                    )
-                return requests, stage
-
-            return build
-
-        if len(scenario.sites) > 1:
-            # Multi-site scenarios run every site through one fleet
-            # call — identical results to the per-site loop
-            # (golden-tested), one simulate stage.
-            workloads = self._fan_out(
-                workload_task(index, name)
-                for index, name in enumerate(scenario.sites)
-            )
-            fleet_sites = []
-            for name, (requests, stage) in zip(scenario.sites, workloads):
-                manifest.merge_stages([stage])
-                fleet_sites.append(
-                    FleetSite(
-                        name=name,
-                        config=config,
-                        trace=result.traces[name],
-                        requests=requests,
-                        supply=self._supply_stack(result.traces[name]),
-                        supply_mode=supply_mode,
-                    )
-                )
-            with manifest.record("simulate:fleet"):
-                result.simulations = simulate(
-                    fleet_sites, record_events=True
-                )
-        else:
-
-            def site_task(index, name):
-                def run_site():
-                    worker = self._worker_label()
-                    requests, workload_stage = workload_task(
-                        index, name
-                    )()
-                    with manifest.record_detached(
-                        f"simulate:{name}", worker
-                    ) as stage:
-                        simulation = simulate(
-                            Datacenter(
-                                config, result.traces[name],
-                                supply=self._supply_stack(
-                                    result.traces[name]
-                                ),
-                                supply_mode=supply_mode,
-                            ),
-                            requests,
-                        )
-                    return simulation, [workload_stage, stage]
-
-                return run_site
-
-            outcomes = self._fan_out(
-                site_task(index, name)
-                for index, name in enumerate(scenario.sites)
-            )
-            for name, (simulation, stages) in zip(
-                scenario.sites, outcomes
-            ):
-                manifest.merge_stages(stages)
-                result.simulations[name] = simulation
-
+        sites = _fleet_sites(self.scenario, result.traces, manifest)
+        with manifest.record("simulate:fleet"):
+            result.simulations = simulate(sites, record_events=True)
         with manifest.record("analyze"):
             manifest.summary = {
                 "sites": {

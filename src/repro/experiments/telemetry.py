@@ -41,7 +41,7 @@ class StageRecord:
         artifact: Content key of the artifact the stage produced or
             loaded, when it has one.
         worker: Label of the worker that executed the stage
-            (``"pid:1234"`` / ``"thread:solve-0"``); ``None`` for the
+            (``"pid:1234"`` / ``"thread:repro-stage_0"``); ``None`` for the
             main thread of a serial run.
     """
 
@@ -254,9 +254,7 @@ class TaskRecord:
         scenario_hash: Its content hash.
         seconds: Task wall-clock time as measured inside the worker
             (synthesis + pipeline + manifest write).
-        worker: Which worker executed it (``"pid:1234"`` for the
-            serial and process backends, ``"thread:..."`` for the
-            thread backend).
+        worker: Which process executed it (``"pid:1234"``).
     """
 
     scenario_name: str
@@ -280,8 +278,8 @@ class FleetManifest:
     batch.
 
     Attributes:
-        backend: Executor backend that ran the batch (``serial`` /
-            ``thread`` / ``process``).
+        backend: ``serial`` for ``jobs=1`` (the batch runs
+            in-process), else ``process`` (a process pool).
         jobs: Worker count.
         wall_seconds: Batch wall-clock time, fan-out included.
         tasks: Per-scenario task timings, in submission order.

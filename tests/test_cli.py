@@ -24,6 +24,11 @@ def test_synthesize_writes_csv(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "UK-wind.csv").exists()
     assert (tmp_path / "BE-solar.csv").exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(lines) == sorted(
+        f"wrote {tmp_path / name}.csv (192 samples)"
+        for name in ("UK-wind", "BE-solar")
+    )
     from repro.traces import trace_from_csv
 
     trace = trace_from_csv(tmp_path / "UK-wind.csv")
@@ -94,6 +99,21 @@ def test_bad_decompose_spec_is_a_usage_error(capsys):
             assert "unknown decompose token" in err
 
 
+def test_serial_only_commands_take_no_fan_out_options(capsys):
+    """Only ``schedule`` (policy solves) and ``sweep`` (scenarios)
+    fan out; the other pipeline commands reject ``--jobs``, and no
+    command takes an executor backend."""
+    for argv in (
+        ["sweep", "--backend", "thread"],
+        ["simulate", "--jobs", "2"],
+        ["synthesize", "--sites", "UK-wind", "--out", "x", "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["warp-drive"])
@@ -109,7 +129,7 @@ def test_sweep_simulate_grid(tmp_path, capsys):
         [
             "sweep", "--mode", "simulate", "--sites", "BE-wind",
             "--days", "2", "--seeds", "0", "1",
-            "--jobs", "1", "--backend", "serial",
+            "--jobs", "1",
             "--cache-dir", str(tmp_path / "cache"),
             "--manifest-dir", str(tmp_path / "manifests"),
         ]

@@ -7,20 +7,17 @@ import pytest
 
 from repro.cluster import (
     AdmissionControl,
-    BestFit,
     ClusterSpec,
     EvictionOrder,
     EvictionPlanner,
-    FirstFit,
     LinearCorePower,
     Server,
     ServerGranularPower,
     ServerSpec,
     VM,
     VMState,
-    WorstFit,
-    make_policy,
 )
+from repro.cluster.datacenter import _ServerPool
 from repro.cluster.migration import migration_bytes
 from repro.errors import AllocationError, CapacityError, ConfigurationError
 from repro.workload import VMClass, VMRequest, VMType
@@ -163,40 +160,41 @@ class TestVMLifecycle:
 
 
 class TestAllocationPolicies:
-    def _servers(self, frees):
-        servers = []
-        for i, used in enumerate(frees):
-            server = Server(i, ServerSpec(cores=40))
-            if used:
-                server.host(make_vm(vm_id=100 + i, cores=used))
-            servers.append(server)
-        return servers
+    """The placement rules ``DatacenterConfig.allocation`` selects,
+    on the server pool the dense engine places with (the step kernel's
+    copy is pinned to it by the allocation-parametrized goldens)."""
+
+    def _pool(self, used):
+        pool = _ServerPool(
+            ClusterSpec(n_servers=len(used), server=ServerSpec(cores=40))
+        )
+        for server, cores in zip(pool.servers, used):
+            if cores:
+                pool.host(
+                    server,
+                    make_vm(vm_id=100 + server.server_id, cores=cores),
+                )
+        return pool
+
+    def _chosen(self, mode):
+        # Free cores 5, 30, 10, 40: server 0 cannot take 8 cores, and
+        # each rule picks a different one of the rest.
+        pool = self._pool([35, 10, 30, 0])
+        return pool.find(make_vm(cores=8), mode).server_id
 
     def test_bestfit_prefers_tightest(self):
-        servers = self._servers([0, 30, 20])  # free: 40, 10, 20
-        chosen = BestFit().choose(servers, make_vm(cores=8))
-        assert chosen.server_id == 1
+        assert self._chosen("bestfit") == 2
 
     def test_firstfit_prefers_lowest_id(self):
-        servers = self._servers([0, 30, 20])
-        chosen = FirstFit().choose(servers, make_vm(cores=8))
-        assert chosen.server_id == 0
+        assert self._chosen("firstfit") == 1
 
     def test_worstfit_prefers_emptiest(self):
-        servers = self._servers([10, 30, 20])
-        chosen = WorstFit().choose(servers, make_vm(cores=8))
-        assert chosen.server_id == 0
+        assert self._chosen("worstfit") == 3
 
     def test_policies_return_none_when_full(self):
-        servers = self._servers([40, 40])
-        for policy in (BestFit(), FirstFit(), WorstFit()):
-            assert policy.choose(servers, make_vm(cores=1)) is None
-
-    def test_make_policy(self):
-        assert isinstance(make_policy("bestfit"), BestFit)
-        assert isinstance(make_policy("FIRSTFIT"), FirstFit)
-        with pytest.raises(ConfigurationError):
-            make_policy("quantum")
+        pool = self._pool([40, 40])
+        for mode in ("bestfit", "firstfit", "worstfit"):
+            assert pool.find(make_vm(cores=1), mode) is None
 
 
 class TestAdmission:

@@ -320,7 +320,7 @@ class TestRunner:
                       "silent_power_change_fraction",
                       "wan_busy_fraction"):
             assert field in summary
-        assert result.manifest.stage("simulate:BE-wind").seconds >= 0.0
+        assert result.manifest.stage("simulate:fleet").seconds >= 0.0
 
     def test_applications_without_policies_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -4,8 +4,8 @@ The load-bearing guarantee: :class:`FleetEngine` is *result-identical*
 to N independent ``Datacenter.run`` calls — per-step columns, supply
 evaluations, event logs, and summaries — across power models, supply
 stacks (open and closed loop), pause/resume behaviour, and site counts.
-The Runner routes multi-site scenarios through it, and ``run_scenarios``
-ships traces to process workers through shared memory; both rewirings
+The Runner routes every ``vm_requests`` scenario through it, one site
+or many, and ``run_scenarios`` passes each task its staged traces; both
 are covered here.
 """
 
@@ -27,7 +27,6 @@ from repro.experiments import (
     run_scenario,
     run_scenarios,
 )
-from repro.experiments.cache import load_shared_traces, stage_shared_traces
 from repro.sim import FleetEngine, FleetSite
 from repro.supply import SupplyEvaluation, SupplySpec, SupplyStack
 from repro.supply.components import BatteryDispatch, PricedGridPower
@@ -335,40 +334,40 @@ class TestClosedLoopSkipAhead:
         assert skipped and skipped[0] > 0
 
 
+SITE_GROUPS = {
+    "1-site": ("BE-wind",),
+    "3-site": ("BE-wind", "NO-solar", "UK-wind"),
+}
+
+
 class TestRunnerFleetRouting:
-    def multi_site_scenario(self) -> Scenario:
+    """Every ``vm_requests`` scenario, one site or many, runs its sites
+    in one ``simulate:fleet`` stage, and each site's result equals
+    ``Datacenter.run`` on the same trace and requests."""
+
+    @pytest.fixture(params=sorted(SITE_GROUPS))
+    def scenario(self, request) -> Scenario:
         return Scenario(
             name="fleet-route",
-            sites=("BE-wind", "NO-solar", "UK-wind"),
+            sites=SITE_GROUPS[request.param],
             grid=grid_days(START, 2),
             workload=WorkloadSpec(kind="vm_requests"),
             seed=5,
         )
 
-    def test_multi_site_uses_fleet_stage(self, tmp_path):
+    def test_uses_fleet_stage(self, scenario, tmp_path):
         result = run_scenario(
-            self.multi_site_scenario(),
-            cache=ArtifactCache(tmp_path / "cache"),
+            scenario, cache=ArtifactCache(tmp_path / "cache")
         )
         names = [stage.name for stage in result.manifest.stages]
-        assert "simulate:fleet" in names
-        assert not any(name.startswith("simulate:BE") for name in names)
-        assert set(result.simulations) == {"BE-wind", "NO-solar", "UK-wind"}
-
-    def test_single_site_keeps_per_site_stage(self, tmp_path):
-        scenario = Scenario(
-            name="solo",
-            sites=("BE-wind",),
-            grid=grid_days(START, 2),
-            workload=WorkloadSpec(kind="vm_requests"),
-            seed=5,
+        assert names == (
+            ["traces"]
+            + [f"workload:{name}" for name in scenario.sites]
+            + ["simulate:fleet", "analyze"]
         )
-        result = run_scenario(scenario, cache=ArtifactCache(tmp_path / "c"))
-        names = [stage.name for stage in result.manifest.stages]
-        assert "simulate:BE-wind" in names
-        assert "simulate:fleet" not in names
+        assert set(result.simulations) == set(scenario.sites)
 
-    def test_fleet_stage_matches_per_site_loop(self, tmp_path):
+    def test_fleet_stage_matches_per_site_loop(self, scenario, tmp_path):
         """The routed result is identical to simulating each site with
         the same traces and workloads independently."""
         from repro.workload import (
@@ -376,7 +375,6 @@ class TestRunnerFleetRouting:
             workload_matched_to_power,
         )
 
-        scenario = self.multi_site_scenario()
         result = run_scenario(
             scenario, cache=ArtifactCache(tmp_path / "cache")
         )
@@ -402,32 +400,14 @@ class TestRunnerFleetRouting:
 
 
 class TestSharedMemoryTraces:
-    def test_stage_load_round_trip(self):
-        traces = {
-            "a": make_trace(41, 700, "a"),
-            "b": make_trace(42, 700, "b"),
-        }
-        descriptor, segment = stage_shared_traces(traces)
-        try:
-            loaded = load_shared_traces(descriptor)
-        finally:
-            segment.close()
-            segment.unlink()
-        assert list(loaded) == ["a", "b"]
-        for name, trace in traces.items():
-            clone = loaded[name]
-            np.testing.assert_array_equal(clone.values, trace.values)
-            assert clone.grid == trace.grid
-            assert clone.name == trace.name
-            assert clone.kind == trace.kind
-            assert clone.capacity_mw == trace.capacity_mw
-            # The copy must survive the segment's unlink.
-            assert clone.values.base is None or clone.values.flags.owndata
+    """Batches stage traces once per key in the parent and pass them
+    to each task's arguments (the class keeps the name it had when
+    traces rode shared memory, so test ids stay stable)."""
 
     def test_process_backend_round_trips_fleet_scenarios(self, tmp_path):
         """Multi-site scenarios through the process pool: traces ride
-        shared memory, sites ride the fleet engine, and the summaries
-        match the serial reference exactly."""
+        each task's pickled arguments, sites ride the fleet engine, and
+        the summaries match the in-process reference exactly."""
         scenarios = [
             Scenario(
                 name=f"shm-{seed}",
@@ -441,15 +421,14 @@ class TestSharedMemoryTraces:
         serial = run_scenarios(
             scenarios,
             jobs=1,
-            backend="serial",
             cache=ArtifactCache(tmp_path / "cache-serial"),
         )
         parallel = run_scenarios(
             scenarios,
             jobs=2,
-            backend="process",
             cache=ArtifactCache(tmp_path / "cache-process"),
         )
+        assert parallel.fleet.backend == "process"
         assert serial.summaries() == parallel.summaries()
         for manifest in parallel.manifests:
             assert "simulate:fleet" in [s.name for s in manifest.stages]

@@ -236,8 +236,8 @@ class TestPipelineInstrumentation:
         ]
         assert any(n.startswith("run:") for n in names)
         assert "stage:traces" in names
-        assert "stage:simulate:BE-wind" in names
-        assert "datacenter.run" in names
+        assert "stage:simulate:fleet" in names
+        assert "fleet.run" in names
         counters = {
             r["name"]
             for r in result.manifest.trace
@@ -356,7 +356,7 @@ class TestCli:
         assert main(["report", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "Span tree" in out
-        assert "datacenter.run" in out
+        assert "fleet.run" in out
         assert "sim.wakes" in out
         assert "Top" in out
 
@@ -372,4 +372,4 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", str(manifest), "--top", "3"]) == 0
         out = capsys.readouterr().out
-        assert "stage:simulate:BE-wind" in out
+        assert "stage:simulate:fleet" in out

@@ -1,9 +1,10 @@
-"""Tests for the parallel execution backend (repro.experiments.parallel).
+"""Tests for parallel scenario execution (repro.experiments.parallel).
 
 The load-bearing guarantees: worker-count resolution respects the
-explicit > ``$REPRO_JOBS`` > fallback chain, every backend produces
-identical result summaries, and concurrent workers racing on one cache
-key leave a single valid entry (atomic ``os.replace`` writes).
+explicit > ``$REPRO_JOBS`` > fallback chain, in-process and process-pool
+batches produce identical result summaries, ``use_cache=False`` touches
+no cache anywhere, and concurrent workers racing on one cache key leave
+a single valid entry (atomic ``os.replace`` writes).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.experiments import (
     TaskRecord,
     WorkloadSpec,
     auto_jobs,
-    resolve_backend,
     resolve_jobs,
     run_scenario,
     run_scenarios,
@@ -74,22 +74,6 @@ class TestResolveJobs:
         assert resolve_jobs(-3) == 1
 
 
-class TestResolveBackend:
-    def test_auto_serial_for_one_worker(self):
-        assert resolve_backend("auto", jobs=1) == "serial"
-
-    def test_auto_process_for_many(self):
-        assert resolve_backend("auto", jobs=4) == "process"
-
-    def test_explicit_passthrough(self):
-        for backend in ("serial", "thread", "process"):
-            assert resolve_backend(backend, jobs=4) == backend
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_backend("mpi", jobs=4)
-
-
 class TestFleetManifest:
     def test_round_trip(self, tmp_path):
         fleet = FleetManifest(backend="process", jobs=4, wall_seconds=2.0)
@@ -128,15 +112,16 @@ class TestBatchDeterminism:
         """jobs=1 serial and jobs=4 process agree result-for-result."""
         scenarios = tiny_scenarios(3)
         serial = run_scenarios(
-            scenarios, jobs=1, backend="serial",
+            scenarios, jobs=1,
             cache=ArtifactCache(tmp_path / "cache-serial"),
         )
         parallel = run_scenarios(
-            scenarios, jobs=4, backend="process",
+            scenarios, jobs=4,
             cache=ArtifactCache(tmp_path / "cache-process"),
             fleet_manifest_path=tmp_path / "fleet.json",
         )
         assert serial.summaries() == parallel.summaries()
+        assert serial.fleet.backend == "serial"
         # Manifests come back in submission order with worker labels.
         names = [m.scenario_name for m in parallel.manifests]
         assert names == [s.name for s in scenarios]
@@ -151,24 +136,11 @@ class TestBatchDeterminism:
         clone = FleetManifest.read(parallel.fleet_path)
         assert clone.to_dict() == parallel.fleet.to_dict()
 
-    def test_thread_backend_matches_serial(self, tmp_path):
-        scenarios = tiny_scenarios(2)
-        serial = run_scenarios(
-            scenarios, jobs=1, backend="serial",
-            cache=ArtifactCache(tmp_path / "cache-a"),
-        )
-        threaded = run_scenarios(
-            scenarios, jobs=2, backend="thread",
-            cache=ArtifactCache(tmp_path / "cache-b"),
-        )
-        assert serial.summaries() == threaded.summaries()
-        assert threaded.fleet.backend == "thread"
-
     def test_batch_matches_single_runs(self, tmp_path):
-        """run_scenarios(serial) reproduces run_scenario one-by-one."""
+        """An in-process batch reproduces run_scenario one-by-one."""
         scenarios = tiny_scenarios(2)
         batch = run_scenarios(
-            scenarios, jobs=1, backend="serial",
+            scenarios, jobs=1,
             cache=ArtifactCache(tmp_path / "cache-batch"),
         )
         singles = [
@@ -189,6 +161,22 @@ class TestBatchDeterminism:
         assert warm.fleet.cache_hits == warm.fleet.cache_lookups
         assert warm.fleet.cache_hit_rate() == 1.0
         assert warm.fleet.cache_hit_rate() >= cold.fleet.cache_hit_rate()
+
+    def test_no_cache_touches_no_cache(self, tmp_path):
+        """use_cache=False ignores a given cache: the parent neither
+        writes nor reads trace artifacts, and no stage does a lookup."""
+        cache = ArtifactCache(tmp_path / "cache")
+        scenarios = tiny_scenarios(1)
+        for _ in range(2):
+            batch = run_scenarios(
+                scenarios, jobs=1, cache=cache, use_cache=False
+            )
+            assert not any(cache.directory.rglob("*.*"))
+            assert batch.manifests[0].stage("traces").cache_hit is None
+            assert batch.manifests[0].cache_dir is None
+            assert batch.fleet.cache_lookups == 0
+            assert batch.fleet.cache_hits == 0
+        assert cache.hits == cache.misses == 0
 
     def test_stage_seconds_aggregated(self, tmp_path):
         batch = run_scenarios(

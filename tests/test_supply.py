@@ -638,7 +638,7 @@ class TestSupplyCli:
             [
                 "sweep", "--mode", "simulate", "--sites", "BE-wind",
                 "--days", "2", "--battery-mwh", "150",
-                "--jobs", "1", "--backend", "serial",
+                "--jobs", "1",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--manifest-dir", str(tmp_path / "manifests"),
             ]
