@@ -112,6 +112,7 @@ def bench_json_writer():
     machine = {
         "cpus": cpus,
         "python": sys.version.split()[0],
+        "numpy": np.__version__,
     }
     if cpus <= 2:
         # Recorded timings from constrained runners are directional

@@ -952,23 +952,34 @@ class Datacenter:
     def advance(self, state: EngineState, until: int) -> int:
         """Execute a kernel-prepared run up to (not including) ``until``.
 
-        The single per-site stepping loop: a batch run is
-        ``advance(state, n)``, a session is repeated calls with a
-        growing ``until``, and every fleet site is one
-        ``advance(state, n)``.  The cursor is
-        the kernel's :attr:`~repro.cluster.kernel.StepKernel.last` —
-        every step at or below it is final — and each call executes
-        ``[last + 1, until)`` then leaves ``last = until - 1``.  That is
-        safe because every event below ``until`` has been processed, so
-        the heap entries it strands are provably stale; splitting a run
-        into segments therefore changes no column, event-log entry, or
-        supply series value.
+        The single per-site stepping loop, in both supply modes: a batch
+        run or fleet site is ``advance(state, n)``, a session is repeated
+        calls with a growing ``until``.  The cursor is the kernel's
+        :attr:`~repro.cluster.kernel.StepKernel.last` — every step at or
+        below it is final — and each call executes ``[last + 1, until)``
+        then leaves ``last = until - 1``.  That is safe because every
+        event below ``until`` has been processed, so the heap entries it
+        strands are provably stale; splitting a run into segments
+        therefore changes no column, event-log entry, or supply value.
 
-        Open loop finds the segment's first wake — the next event or
-        the first budget-threshold crossing — with one scan, hands the
-        wake chain to :meth:`StepKernel.drain_block` with ``until`` as
-        the block end, and forward-fills the skipped steps.  Closed loop
-        runs :meth:`_closed_segment`.
+        Each window runs from the cursor to the next arrival, finish or
+        queue expiry (or ``until``).  Its steps are no-ops unless the
+        core budget falls below the running cores or reaches the resume
+        / launch threshold; the first such step, else the event ending
+        the window, is the next wake (``StepKernel.step_wake``).  Open
+        loop, one scan of the precomputed budgets finds it.  Closed loop
+        dispatches the window step by step against the current demand,
+        or, while the stack is *pinned* (every battery at the relevant
+        SoC bound, every grid budget exhausted), fills it vectorized
+        with :meth:`_fill_pinned` — bit-identical to per-step dispatch,
+        golden-tested against :meth:`_run_closed`.  One
+        :meth:`StepColumns.forward_fill` per call carries each wake's
+        running / allocated cores and queue length over the no-ops.
+
+        The window state (next event, wake thresholds, demand) only
+        changes at wakes and is read from the kernel at every window, so
+        a call's start is like any other step, and a run takes the same
+        wakes wherever it is cut.
 
         Args:
             state: A :meth:`prepare_run` state built with ``kernel=True``.
@@ -984,130 +995,96 @@ class Datacenter:
         until = min(until, state.n)
         if until <= start:
             return 0
-        if state.closed:
-            processed = self._closed_segment(state, start, until)
-        else:
-            processed = self._open_segment(state, start, until)
-        kernel.last = until - 1
-        state.processed += processed
-        return processed
-
-    @staticmethod
-    def _open_segment(state: EngineState, start: int, until: int) -> int:
-        """The open-loop half of :meth:`advance`."""
-        kernel = state.kernel
         budgets = state.budgets
-        stop = min(kernel.next_event(), until)
-        running, upper = kernel.wake_bounds()
-        wake = start + _first_crossing(budgets[start:stop], running, upper)
-        processed: list[int] = []
-        if wake < until:
-            kernel.drain_block(wake, budgets, until, processed)
-        # Skipped steps carry the state of the last processed step; the
-        # step before the segment already holds it for the prefix.
-        steps = processed if start == 0 else [start - 1, *processed]
-        if steps:
-            state.cols.forward_fill(steps, until)
-        return len(processed)
-
-    def _closed_segment(self, state: EngineState, step: int, until: int) -> int:
-        """The closed-loop half of :meth:`advance`: wake only where needed.
-
-        Every step the loop does not vectorize is dispatched, against
-        the site's current demand, from one call site, and runs as a
-        *wake* (through the kernel) only when an arrival, finish or
-        queue expiry is due, or when its core budget falls below the
-        running cores or reaches the resume / launch threshold — the
-        budget-space test :meth:`_open_segment` scans for.  Any other
-        step is a provable no-op for the cluster: its columns carry the
-        last wake's state.
-
-        Per-step dispatch is unavoidable while a component's state can
-        move, but once the stack is *pinned* for a balance sign — every
-        battery at the relevant SoC bound, every grid budget exhausted —
-        a dispatch on that sign returns exactly ``base / capacity``,
-        mutates nothing, and accrues no telemetry.  Such stretches get
-        the vectorized fill of :meth:`_fill_pinned`, bit-identical to
-        per-step dispatch (golden-tested against :meth:`_run_closed`),
-        which stops at a sign flip or a budget crossing and hands that
-        step back to the per-step path.
-
-        The window state (next event, wake thresholds, demand) only
-        changes at wakes, so the loop reads it from the kernel whenever
-        it enters: at the segment start, after a wake, and at the next
-        event.  A segment start is therefore like any other step, and a
-        run takes the same wakes wherever it is cut.
-        """
-        site = state.kernel
-        cols = state.cols
-        dispatcher = state.dispatcher
-        if state.span_precompute is None:
-            # A pinned stretch behaves open-loop: delivered is the base
-            # round trip (modulo the rare covered-demand ulp clamp), so
-            # the whole-run clip and budget series are computed once
-            # and fills commit views into them.
-            base_mw = dispatcher.base_mw_series()
-            rt_full = base_mw / dispatcher.capacity_mw
-            clipped_full = np.clip(rt_full, 0.0, 1.0)
-            state.span_precompute = (
-                base_mw, rt_full, clipped_full,
-                self._budget_series(clipped_full),
-            )
-        base_mw = state.span_precompute[0]
-        core_budget = self.power_model.core_budget
-        norm_for_cores = self.power_model.norm_for_cores
-        dispatch = dispatcher.dispatch
-        pinned = dispatcher.pinned
-        capacity = dispatcher.capacity_mw
-        norm_power = cols.norm_power
-        budget_col = cols.core_budget
-        processed = 0
+        if state.closed:
+            dispatcher = state.dispatcher
+            if state.span_precompute is None:
+                # A pinned stretch behaves open-loop: delivered is the
+                # base round trip (modulo the rare covered-demand ulp
+                # clamp), so the whole-run clip and budget series are
+                # computed once and fills commit views into them.
+                base_mw = dispatcher.base_mw_series()
+                rt_full = base_mw / dispatcher.capacity_mw
+                clipped_full = np.clip(rt_full, 0.0, 1.0)
+                state.span_precompute = (
+                    base_mw, rt_full, clipped_full,
+                    self._budget_series(clipped_full),
+                )
+            base_mw = state.span_precompute[0]
+            core_budget = self.power_model.core_budget
+            norm_for_cores = self.power_model.norm_for_cores
+            dispatch = dispatcher.dispatch
+            pinned = dispatcher.pinned
+            capacity = dispatcher.capacity_mw
+            norm_power = state.cols.norm_power
+            budget_col = state.cols.core_budget
+        # Skipped steps carry the state of the last wake before them;
+        # the step before the segment already holds it for the prefix.
+        wakes = [start - 1] if start else []
+        seeded = len(wakes)
+        step = start
         while step < until:
-            event = site.next_event()
+            event = kernel.next_event()
             if event <= step:
                 # The due event wakes this step whatever its budget, so
                 # it needs no wake thresholds.
-                demand = site.demand_at(step)
-                stop = step + 1
                 running, upper = 0, None
+                stop = step + 1
             else:
-                # Demand is constant until the event: running, paused
-                # and queued only mutate at wakes, and no VM finishes
-                # before it.
-                demand = site.window_demand()
+                running, upper = kernel.wake_bounds()
                 stop = event if event < until else until
-                running, upper = site.wake_bounds()
-            demand_norm = max(norm_for_cores(demand), 0.0)
-            demand_mw = demand_norm * capacity
-            first = step
-            while step < stop:
-                if step < event and pinned(base_mw[step] >= demand_mw):
-                    step = self._fill_pinned(
-                        state, step, stop, demand_norm, running, upper
+            if budgets is not None:
+                # The window's first crossing wakes, else the event that
+                # ends it; a due event has no window to scan.
+                wake = event
+                if event > step:
+                    hit = step + _first_crossing(
+                        budgets[step:stop], running, upper
                     )
-                    if step == stop:
-                        break
-                delivered = dispatch(step, demand_norm)
-                delivered = min(max(delivered, 0.0), 1.0)
-                budget = core_budget(delivered)
-                norm_power[step] = delivered
-                budget_col[step] = budget
-                if (
-                    step >= event
-                    or budget < running
-                    or (upper is not None and budget >= upper)
-                ):
+                    if hit < stop:
+                        wake = hit
+                if wake >= until:
                     break
-                step += 1
-            if step > first:
-                run_c, alloc_c, qlen = site.carried_state()
-                cols.running_cores[first:step] = run_c
-                cols.allocated_cores[first:step] = alloc_c
-                cols.queue_length[first:step] = qlen
-            if step < stop:
-                site.step_wake(step, budget)
-                processed += 1
-                step += 1
+                budget = int(budgets[wake])
+            else:
+                # Before the event, demand is constant: running, paused
+                # and queued only mutate at wakes, and no VM finishes.
+                demand = (
+                    kernel.demand_at(step) if event <= step
+                    else kernel.window_demand()
+                )
+                demand_norm = max(norm_for_cores(demand), 0.0)
+                demand_mw = demand_norm * capacity
+                while step < stop:
+                    if step < event and pinned(base_mw[step] >= demand_mw):
+                        step = self._fill_pinned(
+                            state, step, stop, demand_norm, running, upper
+                        )
+                        if step == stop:
+                            break
+                    delivered = dispatch(step, demand_norm)
+                    delivered = min(max(delivered, 0.0), 1.0)
+                    budget = core_budget(delivered)
+                    norm_power[step] = delivered
+                    budget_col[step] = budget
+                    if (
+                        step >= event
+                        or budget < running
+                        or (upper is not None and budget >= upper)
+                    ):
+                        break
+                    step += 1
+                if step == stop:
+                    continue
+                wake = step
+            kernel.step_wake(wake, budget)
+            wakes.append(wake)
+            step = wake + 1
+        if wakes:
+            state.cols.forward_fill(wakes, until)
+        kernel.last = until - 1
+        processed = len(wakes) - seeded
+        state.processed += processed
         return processed
 
     def _fill_pinned(

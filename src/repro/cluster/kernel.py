@@ -28,11 +28,11 @@ Why it is faster than the object model:
   lap over all servers, and the persisted rotor lands on
   ``last_victim + 1`` in every terminating case — see
   :meth:`StepKernel._plan_power_down`).
-* **One wake loop.**  The open-loop wake chain lives once, in
-  :meth:`StepKernel.drain_block`, and its one driver is
-  ``Datacenter.advance`` — batch runs, sessions and every fleet site —
-  whose closed loop uses the same ``next_event`` / ``wake_bounds`` /
-  ``step_wake`` protocol.
+* **One wake loop.**  The kernel only answers the window questions —
+  ``next_event``, ``wake_bounds``, ``demand_at`` / ``window_demand`` —
+  and executes wakes through ``step_wake``; the one loop that decides
+  which steps wake, in either supply mode, is ``Datacenter.advance``,
+  which drives batch runs, sessions and every fleet site.
 
 Determinism notes mirrored from the object model: free-core buckets
 are id-sorted lists, victim ties resolve through the VM id exactly as
@@ -823,89 +823,3 @@ class StepKernel:
             return 0
         total = self.total_cores
         return demand if demand < total else total
-
-    # ------------------------------------------------------------------
-    # The open-loop wake loop
-    # ------------------------------------------------------------------
-
-    def drain_block(
-        self,
-        step: int,
-        budget_row,
-        b1: int,
-        processed: list[int],
-    ) -> None:
-        """Process the chain of wakes from ``step`` up to ``b1``.
-
-        ``Datacenter.advance`` passes an open-loop segment's first wake
-        with the segment end as ``b1``; the site then drains every wake
-        it can reach before ``b1`` — arrivals, finishes, expiries, and
-        budget-threshold crossings rescanned over its own budget row —
-        without returning to the caller.  Appends processed steps to
-        ``processed``.
-        """
-        n = self.n
-        arrivals_by_step = self.arrivals_by_step
-        arrival_steps = self.arrival_steps
-        n_arrival_steps = len(arrival_steps)
-        ai = self.arrival_index
-        finish_heap = self.finish_heap
-        expiry_heap = self.expiry_heap
-        queue = self.queue
-        paused = self.paused
-        vm_cores = self.vm_cores
-        patience = self.patience
-        while True:
-            processed.append(step)
-            if ai < n_arrival_steps and arrival_steps[ai] == step:
-                arrivals: Sequence[int] = arrivals_by_step[step]
-                ai += 1
-            else:
-                arrivals = ()
-            self._step(step, int(budget_row[step]), arrivals)
-            if queue and queue[-1][1] == step:
-                expiry = step + patience + 1
-                if expiry < n:
-                    heappush(expiry_heap, expiry)
-            # --- wake bounds ---
-            running = self.running_cores
-            upper: int | None = None
-            if paused:
-                upper = running + vm_cores[paused[0]]
-            if queue:
-                launch = self._launch_wake_threshold()
-                if launch is not None and (upper is None or launch < upper):
-                    upper = launch
-            # --- next event ---
-            wake = n
-            if ai < n_arrival_steps:
-                wake = arrival_steps[ai]
-            while finish_heap and finish_heap[0] <= step:
-                heappop(finish_heap)
-            if finish_heap and finish_heap[0] < wake:
-                wake = finish_heap[0]
-            while expiry_heap and expiry_heap[0] <= step:
-                heappop(expiry_heap)
-            if expiry_heap and expiry_heap[0] < wake:
-                wake = expiry_heap[0]
-            # --- in-block crossing rescan ---
-            start = step + 1
-            if start < b1 and (running or upper is not None):
-                scan_stop = b1 if wake > b1 else wake
-                if start < scan_stop:
-                    row = budget_row[start:scan_stop]
-                    if upper is None:
-                        cross = row < running
-                    elif running:
-                        cross = (row < running) | (row >= upper)
-                    else:
-                        cross = row >= upper
-                    hit = cross.argmax()
-                    if cross[hit]:
-                        wake = start + int(hit)
-            if wake < b1:
-                step = wake
-                continue
-            break
-        self.arrival_index = ai
-        self.last = step

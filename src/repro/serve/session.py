@@ -30,7 +30,9 @@ following the RackMind dc-simulator pattern.
 from __future__ import annotations
 
 import copy
+import math
 import pickle
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +50,12 @@ CHECKPOINT_FORMAT = "repro-session/4"
 
 #: Injection kinds :meth:`SimSession.inject` accepts.
 INJECT_KINDS = ("battery_soc", "grid_budget", "blackout", "spot_price")
+
+#: Injection keys whose values must be finite numbers.
+INJECT_NUMBERS = (
+    "soc_mwh", "soc_fraction", "remaining_mwh", "delta_mwh", "scale",
+    "delta_per_mwh",
+)
 
 
 class _SiteEngine:
@@ -316,10 +324,20 @@ class SimSession:
         )
 
     def audit_tail(self, last_n: int | None = None) -> list[dict]:
-        """The append-only action log (optionally its last ``last_n``)."""
+        """The append-only action log (optionally its last ``last_n``).
+
+        ``last_n=0`` is an empty list, and a ``last_n`` longer than the
+        log is all of it.
+
+        Raises:
+            SessionError: ``last_n`` is negative.
+        """
         if last_n is None:
             return list(self.audit)
-        return self.audit[-max(int(last_n), 0):]
+        last_n = int(last_n)
+        if last_n < 0:
+            raise SessionError(f"last_n must be >= 0, got {last_n}")
+        return self.audit[-last_n:] if last_n else []
 
     def _audit(self, event: str, **fields) -> dict:
         entry = {"seq": len(self.audit), "step": self.step, "event": event}
@@ -404,6 +422,12 @@ class SimSession:
         ``site`` targets one site by name; omit it to target all sites
         (``blackout``: one random site).  Returns the queued audit
         entry.
+
+        Raises:
+            SessionError: The kind, site or keys are unknown or missing,
+                a value above is not a finite number, or
+                ``duration_steps`` is not a non-negative integer.  Nothing
+                is queued.
         """
         if not isinstance(action, dict):
             raise SessionError("injection must be a JSON object")
@@ -431,6 +455,29 @@ class SimSession:
         ):
             raise SessionError(
                 "spot_price needs scale or delta_per_mwh"
+            )
+        # Values are checked here, not when the next tick applies them:
+        # a bad one would fail that tick after the queue was emptied.
+        # Absent keys pass.
+        for key in INJECT_NUMBERS:
+            value = action.get(key, 0.0)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, Real)
+                or not math.isfinite(value)
+            ):
+                raise SessionError(
+                    f"{key} must be a finite number, got {value!r}"
+                )
+        duration = action.get("duration_steps", 0)
+        if (
+            isinstance(duration, bool)
+            or not isinstance(duration, Integral)
+            or duration < 0
+        ):
+            raise SessionError(
+                "duration_steps must be a non-negative integer,"
+                f" got {duration!r}"
             )
         self._pending.append(dict(action))
         if obs.enabled():

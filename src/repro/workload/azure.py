@@ -150,7 +150,8 @@ def generate_vm_requests(
             instead of ramping from an empty cluster.
 
     Returns:
-        Requests sorted by arrival step, ids dense from 0.
+        Requests in arrival-step order, with ids ``0..n-1`` in list
+        order (they are drawn that way; warm-start VMs come first).
     """
     config = config or AzureWorkloadConfig()
     if rng is None:
@@ -208,5 +209,4 @@ def generate_vm_requests(
             lifetime_steps = max(1, int(round(lifetime_hours / step_hours)))
             requests.append(draw_vm(step, lifetime_steps))
 
-    requests.sort(key=lambda r: (r.arrival_step, r.vm_id))
     return requests

@@ -144,13 +144,57 @@ class TestEndpoints:
         assert events[0] == "create"
         assert "inject" in events and "apply" in events
         tail = client.get(f"/sessions/{sid}/audit?last_n=2").json()
-        assert len(tail["audit"]) == 2
+        assert tail["audit"] == audit[-2:]
+        assert client.get(
+            f"/sessions/{sid}/audit?last_n=0"
+        ).json()["audit"] == []
+        longer = client.get(f"/sessions/{sid}/audit?last_n={len(audit) + 5}")
+        assert longer.json()["audit"] == audit
+        negative = client.get(f"/sessions/{sid}/audit?last_n=-1")
+        assert negative.status == 400
 
         bad = client.post(
             f"/sessions/{sid}/inject", json={"kind": "earthquake"}
         )
         assert bad.status == 400
         assert "earthquake" in bad.json()["error"]
+
+    def test_malformed_injection_is_rejected_and_queues_nothing(
+        self, client
+    ):
+        """A bad value is a 400 at inject time, so it cannot fail the
+        next tick and take the valid injections queued with it."""
+        sid = create_session(client)["session_id"]
+        client.post(f"/sessions/{sid}/tick?n=10")
+        valid = [
+            {"kind": "blackout", "site": "BE-wind", "duration_steps": 5},
+            {"kind": "grid_budget", "remaining_mwh": 3.0},
+            {"kind": "spot_price", "scale": 2.0, "duration_steps": 0},
+        ]
+        malformed = [
+            {"kind": "blackout", "duration_steps": "x"},
+            {"kind": "blackout", "duration_steps": -1},
+            {"kind": "blackout", "duration_steps": 2.5},
+            {"kind": "battery_soc", "soc_fraction": "half"},
+            {"kind": "battery_soc", "soc_mwh": None},
+            {"kind": "battery_soc", "soc_mwh": True},
+            {"kind": "grid_budget", "delta_mwh": float("inf")},
+            {"kind": "spot_price", "scale": float("nan")},
+            {"kind": "spot_price", "delta_per_mwh": [1.0]},
+        ]
+        for action in (valid[0], *malformed[:4], valid[1], *malformed[4:],
+                       valid[2]):
+            response = client.post(f"/sessions/{sid}/inject", json=action)
+            if action in valid:
+                assert response.status == 202, action
+            else:
+                assert response.status == 400, action
+        status = client.get(f"/sessions/{sid}").json()
+        assert status["pending_injections"] == len(valid)
+        assert client.post(f"/sessions/{sid}/tick?n=5").status == 200
+        audit = client.get(f"/sessions/{sid}/audit").json()["audit"]
+        assert [e["action"] for e in audit if e["event"] == "inject"] == valid
+        assert [e["action"] for e in audit if e["event"] == "apply"] == valid
 
     def test_checkpoint_restore_fork_roundtrip(self, client):
         sid = create_session(client)["session_id"]

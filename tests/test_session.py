@@ -29,6 +29,7 @@ from tests.test_fleet import (
     reference_run,
 )
 
+from repro import obs
 from repro.cluster.kernel import StepKernel
 from repro.errors import SessionError
 from repro.serve import SessionRegistry, SimSession
@@ -47,7 +48,7 @@ def session_run(site, engine, chunk):
 
 @contextmanager
 def needed_wakes():
-    """Log the closed loop's kernel wakes, asserting each was needed.
+    """Log the kernel wakes, asserting each was needed.
 
     A wake is needed when an arrival, finish or queue expiry is due, or
     the step's core budget falls below the running cores or reaches the
@@ -69,6 +70,25 @@ def needed_wakes():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(StepKernel, "step_wake", checked)
         yield woken
+
+
+def batch_wakes(site, engine="event") -> list[int]:
+    """The batch run's logged wakes, checked to be every wake it made.
+
+    The log must be non-empty and as long as the run's ``sim.wakes``
+    count, so a wake path that bypasses ``step_wake`` fails here
+    instead of comparing two empty logs.
+    """
+    sink = obs.MemorySink()
+    with needed_wakes() as woken, obs.add_sink(sink):
+        reference_run(site, engine)
+    [count] = [
+        record["value"]
+        for record in sink.metrics()
+        if record["name"] == "sim.wakes"
+    ]
+    assert woken and len(woken) == count
+    return woken
 
 
 class TestSegmentedAdvance:
@@ -94,8 +114,7 @@ class TestSegmentedAdvance:
         }[stack]
         site = make_site(3, 1500, 400, supply=supply, supply_mode=mode)
         want = reference_run(site)
-        with needed_wakes() as batch:
-            reference_run(site, engine)
+        batch = batch_wakes(site, engine)
         for chunk in (1, 7, 137, 5000):
             with needed_wakes() as woken:
                 got = session_run(site, engine, chunk)
@@ -177,11 +196,10 @@ def segmentation_case(closed: bool):
 class TestRandomSegmentation:
     """``advance`` split at arbitrary cut points == the dense oracle.
 
-    Open-loop segments forward-fill their skipped steps from the step
-    before the segment and hand the wake chain to ``drain_block``;
-    closed-loop segments clamp dispatch windows at the cut and take the
-    batch run's wakes, each one needed.  Random cut points hit both
-    mid-chain and mid-window.
+    Every segment clamps its windows at the cut and forward-fills its
+    skipped steps from the step before it; in either supply mode it
+    takes the batch run's wakes, each one needed.  Random cut points
+    hit both mid-chain and mid-window.
     """
 
     @settings(max_examples=25, deadline=None)
@@ -200,9 +218,7 @@ class TestRandomSegmentation:
             session.run_to_end()
         got = session.results()[site.name]
         assert_identical(f"cuts={sorted(set(cuts))}", got, want, events=True)
-        with needed_wakes() as batch:
-            reference_run(site, "event")
-        assert woken == batch
+        assert woken == batch_wakes(site)
         if closed:
             for series in ("cost_usd", "carbon_kg"):
                 np.testing.assert_array_equal(

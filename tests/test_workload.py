@@ -101,7 +101,7 @@ class TestAzureWorkload:
         requests = generate_vm_requests(week_grid, seed=5)
         steps = [r.arrival_step for r in requests]
         assert steps == sorted(steps)
-        assert sorted(r.vm_id for r in requests) == list(range(len(requests)))
+        assert [r.vm_id for r in requests] == list(range(len(requests)))
 
     def test_generate_arrivals_within_grid(self, week_grid):
         requests = generate_vm_requests(week_grid, seed=5)
