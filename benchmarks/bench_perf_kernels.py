@@ -34,7 +34,12 @@ from repro.traces import synthesize_solar, synthesize_wind, synthesize_catalog_t
 from repro.traces.weather import _intraday_ar1_loop, intraday_ar1
 from repro.traces.wind import WindConfig, _ou_speed_path_loop, ou_speed_path
 from repro.units import grid_days
-from repro.workload import generate_vm_requests, workload_matched_to_power
+from repro.workload import (
+    default_vm_catalog,
+    generate_vm_requests,
+    workload_matched_to_power,
+)
+from repro.workload.vmtypes import vm_type_sampler
 
 from conftest import SEED, START
 
@@ -157,6 +162,56 @@ def test_perf_ar1_kernel_year(benchmark):
     _record(
         "intraday_ar1_year", benchmark,
         loop_seconds=loop_seconds, speedup_vs_loop=speedup,
+    )
+    if speedup is not None:
+        assert speedup >= 5.0
+
+
+def test_perf_catalog_sampler(benchmark):
+    """Inverse-CDF VM-type sampler vs. the per-draw ``rng.choice`` loop
+    it replaced, on 200k draws: identical types and generator state,
+    and >= 5x faster.  Also records (ungated) what the generator costs
+    per VM end to end: the default 700-server workload over 28 days.
+    """
+    catalog = default_vm_catalog()
+    types = [t for t, _ in catalog]
+    probabilities = np.array([p for _, p in catalog])
+    draws = 200_000
+
+    def sampled():
+        rng = np.random.default_rng(SEED)
+        draw = vm_type_sampler(catalog, rng)
+        return [draw() for _ in range(draws)], rng.bit_generator.state
+
+    def reference():
+        rng = np.random.default_rng(SEED)
+        picked = [
+            types[rng.choice(len(types), p=probabilities)]
+            for _ in range(draws)
+        ]
+        return picked, rng.bit_generator.state
+
+    fast = benchmark(sampled)
+    start = time.perf_counter()
+    slow = reference()
+    loop_seconds = time.perf_counter() - start
+    assert fast == slow
+    stats = _stats_dict(benchmark)
+    speedup = loop_seconds / stats["mean_s"] if stats.get("mean_s") else None
+    _record(
+        "catalog_sampler_200k", benchmark,
+        loop_seconds=loop_seconds, speedup_vs_loop=speedup,
+    )
+
+    grid = grid_days(START, 28)
+    start = time.perf_counter()
+    requests = generate_vm_requests(grid, seed=SEED)
+    month_seconds = time.perf_counter() - start
+    _record(
+        "vm_requests_month",
+        requests=len(requests),
+        seconds=month_seconds,
+        us_per_vm=month_seconds / len(requests) * 1e6,
     )
     if speedup is not None:
         assert speedup >= 5.0

@@ -85,6 +85,7 @@ def bench_json_writer():
         "machine": {
             "cpus": os.cpu_count() or 1,
             "python": sys.version.split()[0],
+            "numpy": np.__version__,
         },
         "benches": dict(sorted(_RESULTS.items())),
     }

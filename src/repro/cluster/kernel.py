@@ -128,34 +128,51 @@ class StepKernel:
         # threshold tests against (constant per run).
         self._static_cap = int(self.util * self.total_cores)
         # --- per-VM SoA state ---
-        self.vm_cores: list[int] = []
-        self.vm_mem: list[float] = []
-        self.vm_ids: list[int] = []
-        self.vm_stable: list[bool] = []
-        self.vm_wire: list[float] = []
-        self.vm_state: list[int] = []
-        self.vm_server: list[int] = []
-        self.vm_remaining: list[int] = []
-        self.vm_finish: list[int] = []
-        arrivals_by_step: dict[int, list[int]] = {}
+        # One pass over the requests that arrive inside the grid.  Each
+        # distinct VMType's cores, memory and wire bytes resolve once,
+        # keyed by id(): a dict keyed by the frozen dataclass itself
+        # re-hashes its fields on every lookup.
         n = self.n
+        live = [r for r in requests if r.arrival_step < n]
         wire_for = dc._wire_bytes_for
-        for request in requests:
-            if request.arrival_step >= n:
-                continue
-            index = len(self.vm_cores)
-            self.vm_cores.append(request.cores)
-            self.vm_mem.append(request.memory_bytes)
-            self.vm_ids.append(request.vm_id)
-            self.vm_stable.append(request.vm_class is VMClass.STABLE)
-            self.vm_wire.append(wire_for(request.memory_bytes))
-            self.vm_state.append(PENDING)
-            self.vm_server.append(-1)
-            self.vm_remaining.append(request.lifetime_steps)
-            self.vm_finish.append(-1)
-            arrivals_by_step.setdefault(request.arrival_step, []).append(
-                index
-            )
+        stable = VMClass.STABLE
+        sizes: dict[int, tuple[int, float, float]] = {}
+        vm_cores: list[int] = []
+        vm_mem: list[float] = []
+        vm_wire: list[float] = []
+        vm_ids: list[int] = []
+        vm_stable: list[bool] = []
+        vm_remaining: list[int] = []
+        arrivals_by_step: dict[int, list[int]] = {}
+        for index, request in enumerate(live):
+            vm_type = request.vm_type
+            size = sizes.get(id(vm_type))
+            if size is None:
+                memory = vm_type.memory_bytes
+                size = sizes[id(vm_type)] = (
+                    vm_type.cores, memory, wire_for(memory)
+                )
+            cores, memory, wire = size
+            vm_cores.append(cores)
+            vm_mem.append(memory)
+            vm_wire.append(wire)
+            vm_ids.append(request.vm_id)
+            vm_stable.append(request.vm_class is stable)
+            vm_remaining.append(request.lifetime_steps)
+            bucket = arrivals_by_step.get(request.arrival_step)
+            if bucket is None:
+                arrivals_by_step[request.arrival_step] = [index]
+            else:
+                bucket.append(index)
+        self.vm_cores = vm_cores
+        self.vm_mem = vm_mem
+        self.vm_ids = vm_ids
+        self.vm_stable = vm_stable
+        self.vm_wire = vm_wire
+        self.vm_state = [PENDING] * len(live)
+        self.vm_server = [-1] * len(live)
+        self.vm_remaining = vm_remaining
+        self.vm_finish = [-1] * len(live)
         self.arrivals_by_step = arrivals_by_step
         self.arrival_steps = sorted(arrivals_by_step)
         self.arrival_index = 0

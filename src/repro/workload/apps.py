@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import TimeGrid
-from .vmtypes import VMType, default_vm_catalog
+from .vmtypes import VMType, default_vm_catalog, vm_type_sampler
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,7 @@ def generate_applications(
         )
     if rng is None:
         rng = np.random.default_rng(seed)
-    catalog = default_vm_catalog()
-    types = [t for t, _ in catalog]
-    probabilities = np.array([p for _, p in catalog])
+    draw_type = vm_type_sampler(default_vm_catalog(), rng)
     per_day = grid.steps_per_day()
     arrival_limit = max(1, int(grid.n * arrival_window_fraction))
 
@@ -138,7 +136,7 @@ def generate_applications(
             ),
         )
         vm_count = 1 + rng.geometric(1.0 / mean_vm_count)
-        vm_type = types[rng.choice(len(types), p=probabilities)]
+        vm_type = draw_type()
         applications.append(
             Application(
                 app_id, arrival, duration, int(vm_count), vm_type,

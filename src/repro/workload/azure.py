@@ -11,13 +11,20 @@ the paper's "cluster running at 70% utilization" setup by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import TimeGrid
-from .vmtypes import VMClass, VMRequest, VMType, default_vm_catalog
+from .vmtypes import (
+    VMClass,
+    VMRequest,
+    VMType,
+    default_vm_catalog,
+    vm_type_sampler,
+)
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,13 @@ class AzureWorkloadConfig:
             raise ConfigurationError(
                 f"diurnal amplitude must be in [0,1): {self.diurnal_amplitude}"
             )
-        total_p = sum(p for _, p in self.catalog)
+        probabilities = [p for _, p in self.catalog]
+        if not all(math.isfinite(p) and p >= 0.0 for p in probabilities):
+            raise ConfigurationError(
+                "catalog probabilities must be finite and non-negative:"
+                f" {probabilities}"
+            )
+        total_p = sum(probabilities)
         if not np.isclose(total_p, 1.0, atol=1e-9):
             raise ConfigurationError(
                 f"catalog probabilities sum to {total_p}, expected 1"
@@ -165,8 +178,7 @@ def generate_vm_requests(
     )
     rates = base_rate * modulation
 
-    types = [t for t, _ in config.catalog]
-    probabilities = np.array([p for _, p in config.catalog])
+    draw_type = vm_type_sampler(config.catalog, rng)
     # Log-normal with the requested mean: mean = exp(mu + sigma^2/2).
     sigma = config.lifetime_sigma
     mu = np.log(config.mean_lifetime_hours) - sigma**2 / 2.0
@@ -176,7 +188,7 @@ def generate_vm_requests(
 
     def draw_vm(arrival: int, lifetime_steps: int) -> VMRequest:
         nonlocal vm_id
-        vm_type = types[rng.choice(len(types), p=probabilities)]
+        vm_type = draw_type()
         vm_class = (
             VMClass.STABLE
             if rng.random() < config.stable_fraction
@@ -200,7 +212,7 @@ def generate_vm_requests(
         for _ in range(n_initial):
             lifetime_hours = rng.lognormal(mu + sigma**2, sigma)
             lifetime_steps = max(1, int(round(lifetime_hours / step_hours)))
-            residual = max(1, int(np.ceil(lifetime_steps * rng.random())))
+            residual = max(1, math.ceil(lifetime_steps * rng.random()))
             requests.append(draw_vm(0, residual))
 
     for step in range(grid.n):

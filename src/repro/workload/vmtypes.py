@@ -11,7 +11,11 @@ stable/degradable class (§2.3's two application categories).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import gib_to_bytes
@@ -117,3 +121,31 @@ def default_vm_catalog() -> list[tuple[VMType, float]]:
         (VMType("D16", 16, 64.0), 0.05),
         (VMType("D32", 32, 128.0), 0.02),
     ]
+
+
+def vm_type_sampler(
+    catalog: Sequence[tuple[VMType, float]], rng: np.random.Generator
+) -> Callable[[], VMType]:
+    """A zero-argument draw of one VM type from ``catalog``.
+
+    The CDF is built once with ``Generator.choice``'s own arithmetic
+    (``cumsum``, then divide by the last entry), and each draw inverts
+    it for one ``rng.random()`` with ``bisect_right`` — the
+    ``searchsorted(side="right")`` that ``choice`` runs.  The types
+    drawn and the generator stream are therefore bit-identical to one
+    ``choice`` call with ``p=probabilities`` per draw, without
+    ``choice``'s per-call validation and CDF rebuild.  The
+    probabilities must already be validated (finite, non-negative,
+    summing to 1), as :class:`~repro.workload.AzureWorkloadConfig`
+    does.
+    """
+    types = [vm_type for vm_type, _ in catalog]
+    cdf = np.array([p for _, p in catalog], dtype=float).cumsum()
+    cdf /= cdf[-1]
+    edges = cdf.tolist()
+    random = rng.random
+
+    def draw() -> VMType:
+        return types[bisect_right(edges, random())]
+
+    return draw

@@ -26,6 +26,7 @@ from repro.cluster import (
     ClusterSpec,
     Datacenter,
     DatacenterConfig,
+    LiveMigrationModel,
     ServerSpec,
 )
 from repro.cluster.admission import min_budget_for_cap
@@ -166,6 +167,42 @@ class TestOpenLoopGolden:
             *random_scenario(7, power_relative_admission=False)
         )
         assert_identical(soa, dense)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_wire_bytes_late_arrivals_and_equal_types(self, seed):
+        """The kernel's per-request prepare: live-migration wire bytes
+        that differ from memory bytes, arrivals at and past the grid end
+        interleaved with live ones, and two equal but distinct VMType
+        objects in one stream."""
+        config, trace, requests = random_scenario(
+            seed, migration_model=LiveMigrationModel()
+        )
+        n = trace.grid.n
+        twin = VMType("D4", 4, 16.0)
+        assert twin == VM_TYPES[1] and twin is not VM_TYPES[1]
+        mixed = []
+        for request in requests:
+            if request.vm_id % 2 and request.vm_type is VM_TYPES[1]:
+                request = VMRequest(
+                    request.vm_id, request.arrival_step,
+                    request.lifetime_steps, twin, request.vm_class,
+                )
+            mixed.append(request)
+            if request.vm_id % 50 == 0:
+                # Arrivals at n - 1 (the last step), n, n + 1 and n + 2.
+                k = request.vm_id // 50 % 4
+                mixed.append(
+                    VMRequest(
+                        len(requests) + request.vm_id, n - 1 + k, 5,
+                        VM_TYPES[k], request.vm_class,
+                    )
+                )
+        soa, dense = run_engines(config, trace, mixed)
+        assert_identical(soa, dense)
+        live = sum(1 for r in mixed if r.arrival_step < n)
+        assert live < len(mixed)
+        assert soa.columns.n_arrivals.sum() == live
+        assert soa.columns.n_evicted.sum() > 0
 
 
 def battery_stack() -> SupplyStack:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.units import grid_days
+from repro.units import TimeGrid, grid_days
 from repro.workload import (
     Application,
     AzureWorkloadConfig,
@@ -22,6 +22,94 @@ from repro.workload import (
     generate_vm_requests,
     workload_matched_to_power,
 )
+
+
+def reference_vm_requests(grid, config, rng, warm_start):
+    """The per-VM ``rng.choice`` generator the catalog sampler replaced,
+    kept as the stream reference (ids are list positions, as there)."""
+    step_hours = grid.step_hours
+    base_rate = arrival_rate_for_utilization(config, step_hours)
+    hour_of_day = grid.hour_of_day()
+    modulation = 1.0 + config.diurnal_amplitude * np.sin(
+        2.0 * np.pi * (hour_of_day - 9.0) / 24.0
+    )
+    rates = base_rate * modulation
+    types = [t for t, _ in config.catalog]
+    probabilities = np.array([p for _, p in config.catalog])
+    sigma = config.lifetime_sigma
+    mu = np.log(config.mean_lifetime_hours) - sigma**2 / 2.0
+    requests = []
+
+    def draw_vm(arrival, lifetime_steps):
+        vm_type = types[rng.choice(len(types), p=probabilities)]
+        vm_class = (
+            VMClass.STABLE
+            if rng.random() < config.stable_fraction
+            else VMClass.DEGRADABLE
+        )
+        return VMRequest(
+            len(requests), arrival, lifetime_steps, vm_type, vm_class
+        )
+
+    if warm_start and grid.n > 0:
+        mean_lifetime_steps = config.mean_lifetime_hours / step_hours
+        n_initial = rng.poisson(base_rate * mean_lifetime_steps)
+        for _ in range(n_initial):
+            lifetime_hours = rng.lognormal(mu + sigma**2, sigma)
+            lifetime_steps = max(1, int(round(lifetime_hours / step_hours)))
+            residual = max(1, int(np.ceil(lifetime_steps * rng.random())))
+            requests.append(draw_vm(0, residual))
+    for step in range(grid.n):
+        for _ in range(rng.poisson(rates[step])):
+            lifetime_hours = rng.lognormal(mu, sigma)
+            lifetime_steps = max(1, int(round(lifetime_hours / step_hours)))
+            requests.append(draw_vm(step, lifetime_steps))
+    return requests
+
+
+def reference_applications(grid, count, rng, mean_vm_count=24.0,
+                           mean_duration_days=3.0, stable_fraction=0.5,
+                           arrival_window_fraction=0.5):
+    """The per-application ``rng.choice`` generator body the catalog
+    sampler replaced, kept as the stream reference."""
+    catalog = default_vm_catalog()
+    types = [t for t, _ in catalog]
+    probabilities = np.array([p for _, p in catalog])
+    per_day = grid.steps_per_day()
+    arrival_limit = max(1, int(grid.n * arrival_window_fraction))
+    applications = []
+    for app_id in range(count):
+        arrival = int(rng.integers(0, arrival_limit))
+        duration = max(
+            1,
+            min(
+                grid.n - arrival,
+                int(round(rng.exponential(mean_duration_days) * per_day)),
+            ),
+        )
+        vm_count = 1 + rng.geometric(1.0 / mean_vm_count)
+        vm_type = types[rng.choice(len(types), p=probabilities)]
+        applications.append(
+            Application(
+                app_id, arrival, duration, int(vm_count), vm_type,
+                stable_fraction,
+            )
+        )
+    applications.sort(key=lambda a: (a.arrival_step, a.app_id))
+    return applications
+
+
+def request_fields(requests):
+    return [
+        (r.vm_id, r.arrival_step, r.lifetime_steps, r.vm_type, r.vm_class)
+        for r in requests
+    ]
+
+
+STREAM_GRIDS = {
+    "4-day-15min": grid_days(datetime(2020, 5, 1), 4),
+    "hourly-week": TimeGrid(datetime(2020, 5, 3), timedelta(hours=1), 168),
+}
 
 
 class TestVMTypes:
@@ -70,9 +158,16 @@ class TestAzureWorkload:
             AzureWorkloadConfig(diurnal_amplitude=1.0)
 
     def test_bad_catalog_rejected(self):
-        bad = ((VMType("B1", 1, 4.0), 0.5),)
-        with pytest.raises(ConfigurationError):
-            AzureWorkloadConfig(catalog=bad)
+        b1, b2 = VMType("B1", 1, 4.0), VMType("B2", 2, 8.0)
+        for bad in (
+            ((b1, 0.5),),
+            # Sums to 1, but a negative weight is no probability.
+            ((b1, -0.5), (b2, 1.5)),
+            ((b1, float("nan")), (b2, 1.0)),
+            ((b1, float("inf")), (b2, 1.0)),
+        ):
+            with pytest.raises(ConfigurationError):
+                AzureWorkloadConfig(catalog=bad)
 
     def test_arrival_rate_littles_law(self):
         config = AzureWorkloadConfig(
@@ -145,6 +240,38 @@ class TestAzureWorkload:
         with pytest.raises(ConfigurationError):
             workload_matched_to_power(0.0, 28000)
 
+    @pytest.mark.parametrize("grid_name", sorted(STREAM_GRIDS))
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_stream_matches_choice_reference(self, grid_name, warm_start):
+        """The inverse-CDF catalog sampler draws the requests and leaves
+        the caller's generator exactly where the per-VM ``rng.choice``
+        loop did, a zero-probability type included."""
+        grid = STREAM_GRIDS[grid_name]
+        b1, b2, d4, d8 = (t for t, _ in default_vm_catalog()[:4])
+        catalogs = (
+            tuple(default_vm_catalog()),
+            ((b1, 0.4), (b2, 0.0), (d4, 0.35), (d8, 0.25)),
+        )
+        for catalog in catalogs:
+            config = AzureWorkloadConfig(total_cores=2800, catalog=catalog)
+            for seed in range(3):
+                fast_rng = np.random.default_rng(seed)
+                ref_rng = np.random.default_rng(seed)
+                fast = generate_vm_requests(
+                    grid, config, rng=fast_rng, warm_start=warm_start
+                )
+                reference = reference_vm_requests(
+                    grid, config, ref_rng, warm_start
+                )
+                assert len(fast) > 100
+                assert request_fields(fast) == request_fields(reference)
+                assert (
+                    fast_rng.bit_generator.state
+                    == ref_rng.bit_generator.state
+                )
+                drawn = {r.vm_type for r in fast}
+                assert (b2 in drawn) == (catalog is catalogs[0])
+
     def test_lifetimes_heavy_tailed(self, month_grid):
         requests = generate_vm_requests(month_grid, seed=5)
         lifetimes = np.array([r.lifetime_steps for r in requests])
@@ -189,6 +316,21 @@ class TestApplications:
             assert 0 <= app.arrival_step < week_grid.n
             assert app.end_step <= week_grid.n
             assert app.vm_count >= 1
+
+    @pytest.mark.parametrize("grid_name", sorted(STREAM_GRIDS))
+    def test_applications_stream_matches_choice_reference(self, grid_name):
+        """Same applications and trailing generator state as the
+        per-application ``rng.choice`` loop."""
+        grid = STREAM_GRIDS[grid_name]
+        for seed in range(3):
+            fast_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            fast = generate_applications(grid, 200, rng=fast_rng)
+            reference = reference_applications(grid, 200, ref_rng)
+            assert fast == reference
+            assert (
+                fast_rng.bit_generator.state == ref_rng.bit_generator.state
+            )
 
     def test_generate_applications_validation(self, week_grid):
         with pytest.raises(ConfigurationError):
