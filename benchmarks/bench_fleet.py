@@ -6,10 +6,11 @@ step kernel inside one ``fleet.run`` span, against N independent
 ``Datacenter.run`` calls (the "looped" baseline), on the year-long
 hundreds-of-sites study §3 motivates.
 
-Every run writes machine-readable ``BENCH_fleet.json`` at the repo
-root; CI uploads it as an artifact and fails the bench-smoke job if
-the fleet engine is slower than the looped per-site kernel runs on the
-64-site year.
+Every run merges its rows into ``BENCH_fleet.json`` at the repo root
+(``harness.py``); CI uploads it as an artifact and fails the
+bench-smoke job if the fleet engine is slower than the looped per-site
+kernel runs on the 64-site year.  Every gate compares speed-normalized
+medians.
 
 Two baselines on purpose, reported side by side:
 
@@ -20,7 +21,7 @@ Two baselines on purpose, reported side by side:
   (``record_events=False``).  The fleet's win here is that event log
   and nothing else, so the margin over 1.0x is what recording the
   logs costs.  This is the hard CI gate (>= 1.0x, on medians of
-  three interleaved rounds).
+  alternating passes).
 * ``speedup_vs_dense_looped`` — against per-site runs of the dense
   object-model oracle that walk all 35,040 steps.  This is the
   headline >= 3x acceptance number.
@@ -29,42 +30,24 @@ A third leg times a closed-loop fleet quarter — 32 sites x 91 days
 behind the battery plus threshold-priced grid of the end-to-end
 ``fleet-battery`` workload — against the same sites run open loop, and
 gates the ratio of the two medians at :data:`CLOSED_OVER_OPEN_MAX`.
-Open loop is the floor the closed loop's supply dispatch adds to, on
-the same machine in the same rounds, so the ratio isolates what the
-closed-loop protocol costs.
+Open loop is the floor the closed loop's supply dispatch adds to, so
+the ratio isolates what the closed-loop protocol costs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import gc
-import json
-import os
-import statistics
-import sys
-import time
-from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
-import pytest
 
+from harness import bench_file, fleet_site, paired, rounds
 from repro.cluster import Datacenter, DatacenterConfig
 from repro.experiments.defaults import YEAR_START
-from repro.sim import FleetEngine, FleetSite
+from repro.sim import FleetEngine
 from repro.supply import SupplySpec
-from repro.traces import synthesize_wind
 from repro.units import grid_days
-from repro.workload import VMClass, VMRequest, VMType
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON_PATH = REPO_ROOT / "BENCH_fleet.json"
-
-_RESULTS: dict[str, dict] = {}
-
-#: Interleaved rounds of the fleet-vs-looped-kernel pair; the gate
-#: compares their medians.
-GATED_ROUNDS = 3
+record, write_bench_json = bench_file("BENCH_fleet.json")
 
 #: The ``fleet-battery`` workload's stack: a 200 MWh battery plus a
 #: 500 MWh grid bought only while the price is at or below $60/MWh.
@@ -84,89 +67,6 @@ FLEET_BATTERY_SUPPLY = SupplySpec(
 #: dispatcher it replaced measured 5.1-5.5x (2 CPUs, three runs each).
 CLOSED_OVER_OPEN_MAX = 3.0
 
-_VM_TYPES = (
-    VMType("D2", 2, 8.0),
-    VMType("D4", 4, 16.0),
-    VMType("D8", 8, 32.0),
-)
-
-
-def _record(name: str, **extra) -> None:
-    _RESULTS[name] = extra
-
-
-def _time_once(fn):
-    gc.collect()
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_json_writer():
-    """Write ``BENCH_fleet.json`` after the module's benches ran."""
-    yield
-    if not _RESULTS:
-        return
-    cpus = os.cpu_count() or 1
-    machine = {
-        "cpus": cpus,
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-    }
-    if cpus <= 2:
-        # Recorded timings from constrained runners are directional
-        # only — treat the intra-run ratios as the signal.
-        machine["caveat"] = (
-            "recorded on a single-core (or near-single-core) runner; "
-            "absolute seconds are pessimistic, compare ratios only"
-        )
-    payload = {
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "machine": machine,
-        "benches": dict(sorted(_RESULTS.items())),
-    }
-    BENCH_JSON_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    )
-    print(f"\n[fleet trajectory written to {BENCH_JSON_PATH}]")
-
-
-def _fleet_site(site_seed: int, grid, config) -> FleetSite:
-    """One fleet site: three sparse week-scale batch campaigns, one per
-    third of the horizon (at most 120 days apart — the same workload
-    shape the sim-core year bench uses)."""
-    rng = np.random.default_rng(site_seed)
-    trace = synthesize_wind(grid, seed=site_seed, name=f"site{site_seed}")
-    span = min(120, grid.n // 96 // 3)
-    requests = []
-    vm_id = 0
-    for campaign in range(3):
-        day = int(rng.integers(campaign * span, campaign * span + span // 2))
-        arrival = day * 96
-        for _ in range(400):
-            lifetime = int(rng.integers(96, 3 * 96))
-            vm_type = _VM_TYPES[rng.integers(0, len(_VM_TYPES))]
-            vm_class = (
-                VMClass.STABLE if rng.random() < 0.5 else VMClass.DEGRADABLE
-            )
-            requests.append(
-                VMRequest(
-                    vm_id,
-                    arrival + int(rng.integers(0, 48)),
-                    lifetime,
-                    vm_type,
-                    vm_class,
-                )
-            )
-            vm_id += 1
-    return FleetSite(
-        name=f"site{site_seed}",
-        config=config,
-        trace=trace,
-        requests=list(requests),
-    )
-
 
 def test_fleet_vs_looped_64site_year():
     """64 sites x 1 year: fleet vs per-site kernel and dense loops.
@@ -178,7 +78,7 @@ def test_fleet_vs_looped_64site_year():
     """
     grid = grid_days(YEAR_START, 365)
     config = DatacenterConfig()
-    sites = [_fleet_site(seed, grid, config) for seed in range(64)]
+    sites = [fleet_site(seed, grid, config) for seed in range(64)]
 
     def looped(engine: str):
         return {
@@ -188,36 +88,27 @@ def test_fleet_vs_looped_64site_year():
             for site in sites
         }
 
-    # The gated pair is timed in interleaved rounds and compared by
-    # medians: both legs take about a second, and a burst of load from
-    # other tenants of a shared runner must not land on one leg only.
-    fleet_times, kernel_times = [], []
-    for _ in range(GATED_ROUNDS):
-        fleet = kernel = None  # free the previous round's results
-        fleet, seconds = _time_once(lambda: FleetEngine(sites).run())
-        fleet_times.append(seconds)
-        kernel, seconds = _time_once(lambda: looped("event"))
-        kernel_times.append(seconds)
-    fleet_s = statistics.median(fleet_times)
-    kernel_s = statistics.median(kernel_times)
-    dense, dense_s = _time_once(lambda: looped("dense"))
+    fleet_t, kernel_t = paired(
+        lambda: FleetEngine(sites).run(), lambda: looped("event")
+    )
+    dense, dense_t = rounds(lambda: looped("dense"))
 
     # Result-identical by construction — verify before trusting times.
+    fleet, kernel = FleetEngine(sites).run(), looped("event")
     for site in sites:
         assert fleet[site.name].summary_dict() == kernel[site.name].summary_dict()
         assert fleet[site.name].summary_dict() == dense[site.name].summary_dict()
 
-    speedup_vs_kernel = kernel_s / fleet_s
-    speedup_vs_dense = dense_s / fleet_s
-    _record(
+    speedup_vs_kernel = kernel_t.median / fleet_t.median
+    speedup_vs_dense = dense_t.median / fleet_t.median
+    record(
         "fleet_64site_year",
         n_sites=len(sites),
         n_steps=grid.n,
         n_requests_per_site=len(sites[0].requests),
-        gated_rounds=GATED_ROUNDS,
-        fleet_s=fleet_s,
-        looped_kernel_s=kernel_s,
-        dense_looped_s=dense_s,
+        fleet_s=fleet_t,
+        looped_kernel_s=kernel_t,
+        dense_looped_s=dense_t,
         speedup_vs_looped_kernel=speedup_vs_kernel,
         speedup_vs_dense_looped=speedup_vs_dense,
     )
@@ -234,26 +125,26 @@ def test_fleet_vs_looped_64site_year():
 
 def test_fleet_500site_year():
     """The 500-site x 1-year study in one engine call (EXPERIMENTS.md
-    walkthrough).  Records absolute wall time; no looped baseline —
-    the 64-site bench carries the comparison."""
+    walkthrough).  Records its wall time; no looped baseline — the
+    64-site bench carries the comparison."""
     grid = grid_days(YEAR_START, 365)
     config = DatacenterConfig()
-    sites = [_fleet_site(seed, grid, config) for seed in range(500)]
+    sites = [fleet_site(seed, grid, config) for seed in range(500)]
 
-    fleet, fleet_s = _time_once(lambda: FleetEngine(sites).run())
+    fleet, fleet_t = rounds(lambda: FleetEngine(sites).run())
     assert len(fleet) == 500
     completions = sum(
         int(result.columns.n_completed.sum()) for result in fleet.values()
     )
     assert completions > 0
-    _record(
+    record(
         "fleet_500site_year",
         n_sites=len(sites),
         n_steps=grid.n,
         n_requests_per_site=len(sites[0].requests),
         total_completions=completions,
-        fleet_s=fleet_s,
-        site_years_per_second=len(sites) / fleet_s,
+        fleet_s=fleet_t,
+        site_years_per_second=len(sites) / fleet_t.median,
     )
 
 
@@ -268,7 +159,7 @@ def test_closed_loop_fleet_quarter():
     days = 91
     grid = grid_days(YEAR_START, days)
     config = DatacenterConfig()
-    open_sites = [_fleet_site(500 + seed, grid, config) for seed in range(32)]
+    open_sites = [fleet_site(500 + seed, grid, config) for seed in range(32)]
     closed_sites = [
         dataclasses.replace(
             site,
@@ -278,15 +169,11 @@ def test_closed_loop_fleet_quarter():
         for site in open_sites
     ]
 
-    closed_times, open_times = [], []
-    for _ in range(GATED_ROUNDS):
-        closed = None  # free the previous round's results
-        closed, seconds = _time_once(lambda: FleetEngine(closed_sites).run())
-        closed_times.append(seconds)
-        _, seconds = _time_once(lambda: FleetEngine(open_sites).run())
-        open_times.append(seconds)
-    closed_s = statistics.median(closed_times)
-    open_s = statistics.median(open_times)
+    closed_t, open_t = paired(
+        lambda: FleetEngine(closed_sites).run(),
+        lambda: FleetEngine(open_sites).run(),
+    )
+    closed = FleetEngine(closed_sites).run()
 
     # Check two sampled sites against the dense oracle before trusting
     # the times, and that the closed loop actually dispatched supply.
@@ -305,18 +192,19 @@ def test_closed_loop_fleet_quarter():
     )
     assert bought > 0.0
 
-    ratio = closed_s / open_s
-    _record(
+    ratio = closed_t.median / open_t.median
+    record(
         "fleet_closed_loop_quarter",
         n_sites=len(closed_sites),
         n_steps=grid.n,
         n_requests_per_site=len(closed_sites[0].requests),
-        gated_rounds=GATED_ROUNDS,
-        closed_s=closed_s,
-        open_s=open_s,
+        closed_s=closed_t,
+        open_s=open_t,
         closed_over_open=ratio,
         closed_over_open_max=CLOSED_OVER_OPEN_MAX,
-        closed_site_years_per_second=len(closed_sites) * days / 365 / closed_s,
+        closed_site_years_per_second=(
+            len(closed_sites) * days / 365 / closed_t.median
+        ),
         dense_checked_sites=[closed_sites[i].name for i in sampled],
         grid_import_mwh=bought,
     )

@@ -5,8 +5,7 @@ every run takes.  The composition point sits inside ``Datacenter.run``
 for all runs, supply-backed or not, so the empty-stack (pass-through)
 case must stay free: a year-horizon fleet run with an empty
 ``SupplyStack`` may not regress more than 5% against the legacy
-no-supply call (plus a small absolute floor so a loaded runner doesn't
-flake on sub-second noise), and must stay result-identical.
+no-supply call, and must stay result-identical.
 
 The battery closed-loop bench carries a second hard gate: with pinned
 stretches filled vectorized and live steps dispatched one by one,
@@ -24,113 +23,26 @@ at most 10% extra wall clock on a closed-loop site-year — the
 cost/carbon ledger is two multiply-adds per import step, not a second
 dispatch pass.
 
-Every run writes machine-readable ``BENCH_supply.json`` at the repo
-root; CI uploads it as an artifact and fails the bench-smoke job if the
-empty-stack gate trips.
+Every gated leg here takes 0.01-0.04 s.  The two legs of each gate run in
+alternating passes of one time box, and the gate compares their
+speed-normalized medians (``harness.py``), with no absolute noise
+floor.  Every run merges its rows into ``BENCH_supply.json`` at the
+repo root; CI uploads it as an artifact and fails the bench-smoke job
+if a gate trips.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-import time
-from datetime import datetime, timezone
-from pathlib import Path
-
 import numpy as np
-import pytest
 
+from harness import bench_file, fleet_site, paired, rounds
 from repro.cluster import Datacenter, DatacenterConfig
 from repro.experiments.defaults import YEAR_START
 from repro.supply import BatteryDispatch, PricedGridPower, SupplyStack
 from repro.traces import synthesize_wind
 from repro.units import grid_days
-from repro.workload import VMClass, VMRequest, VMType
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON_PATH = REPO_ROOT / "BENCH_supply.json"
-
-_RESULTS: dict[str, dict] = {}
-
-_VM_TYPES = (
-    VMType("D2", 2, 8.0),
-    VMType("D4", 4, 16.0),
-    VMType("D8", 8, 32.0),
-)
-
-
-def _record(name: str, **extra) -> None:
-    _RESULTS[name] = extra
-
-
-def _time_once(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_json_writer():
-    """Write ``BENCH_supply.json`` after the module's benches ran."""
-    yield
-    if not _RESULTS:
-        return
-    cpus = os.cpu_count() or 1
-    machine = {
-        "cpus": cpus,
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-    }
-    if cpus <= 2:
-        # Recorded timings from constrained runners are directional
-        # only — treat the intra-run ratios as the signal.
-        machine["caveat"] = (
-            "recorded on a single-core (or near-single-core) runner; "
-            "absolute seconds are pessimistic, compare ratios only"
-        )
-    payload = {
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "machine": machine,
-        "benches": dict(sorted(_RESULTS.items())),
-    }
-    BENCH_JSON_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    )
-    print(f"\n[supply trajectory written to {BENCH_JSON_PATH}]")
-
-
-def _fleet_site(site_seed: int, grid) -> tuple:
-    """One fleet site-year: three sparse week-scale batch campaigns.
-
-    Mirrors ``bench_sim_sched._fleet_site`` — the shape whose skipped
-    steps make the step kernel fast, i.e. where added per-run
-    composition overhead would show up proportionally largest.
-    """
-    rng = np.random.default_rng(site_seed)
-    trace = synthesize_wind(grid, seed=site_seed, name=f"site{site_seed}")
-    requests = []
-    vm_id = 0
-    for campaign in range(3):
-        day = int(rng.integers(campaign * 120, campaign * 120 + 60))
-        arrival = day * 96
-        for _ in range(400):
-            lifetime = int(rng.integers(96, 3 * 96))
-            vm_type = _VM_TYPES[rng.integers(0, len(_VM_TYPES))]
-            vm_class = (
-                VMClass.STABLE if rng.random() < 0.5 else VMClass.DEGRADABLE
-            )
-            requests.append(
-                VMRequest(
-                    vm_id,
-                    arrival + int(rng.integers(0, 48)),
-                    lifetime,
-                    vm_type,
-                    vm_class,
-                )
-            )
-            vm_id += 1
-    return trace, requests
+record, write_bench_json = bench_file("BENCH_supply.json")
 
 
 def test_supply_empty_stack_overhead():
@@ -138,35 +50,35 @@ def test_supply_empty_stack_overhead():
 
     The CI gate.  An empty stack is a pass-through — ``Datacenter.run``
     must detect it and take the exact legacy precomputed-budget path,
-    so the comparison is plumbing cost only: results identical, wall
-    clock within 5% (+0.5s noise floor).
+    so the comparison is plumbing cost only: results identical, median
+    wall clock within 5%.
     """
     grid = grid_days(YEAR_START, 365)
     config = DatacenterConfig()
-    sites = [_fleet_site(seed, grid) for seed in range(4)]
+    sites = [fleet_site(seed, grid, config) for seed in range(4)]
 
     def run(supply):
         return [
-            Datacenter(config, trace, supply=supply, supply_mode="open").run(
-                requests, engine="event"
-            )
-            for trace, requests in sites
+            Datacenter(
+                site.config, site.trace, supply=supply, supply_mode="open"
+            ).run(site.requests, engine="event")
+            for site in sites
         ]
 
-    legacy, legacy_s = _time_once(lambda: run(None))
-    stacked, stacked_s = _time_once(lambda: run(SupplyStack()))
-    for legacy_result, stacked_result in zip(legacy, stacked):
+    legacy_t, stacked_t = paired(lambda: run(None), lambda: run(SupplyStack()))
+    for legacy_result, stacked_result in zip(run(None), run(SupplyStack())):
         assert legacy_result.records == stacked_result.records
         assert stacked_result.supply is None
-    _record(
+    ratio = stacked_t.median / legacy_t.median
+    record(
         "supply_empty_stack_year_fleet",
         n_steps=grid.n,
         n_sites=len(sites),
-        legacy_s=legacy_s,
-        empty_stack_s=stacked_s,
-        overhead=stacked_s / legacy_s - 1.0,
+        legacy_s=legacy_t,
+        empty_stack_s=stacked_t,
+        overhead=ratio - 1.0,
     )
-    assert stacked_s <= legacy_s * 1.05 + 0.5
+    assert ratio <= 1.05
 
 
 def test_supply_battery_closed_loop_year():
@@ -174,50 +86,44 @@ def test_supply_battery_closed_loop_year():
 
     The second CI gate: the closed-loop kernel path (pinned fills and
     per-step dispatch, waking the SoA step kernel only where needed)
-    must stay within 4x of
-    the open-loop kernel run of the same site without supply (+0.5s
-    noise floor).  Dispatch is stateful at every step, so some
-    multiple is inherent; an order of magnitude would mean the
+    must stay within 4x of the open-loop kernel run of the same site
+    without supply, on medians.  Dispatch is stateful at every step, so
+    some multiple is inherent; an order of magnitude would mean the
     per-step work regressed to object-graph walking.  The kernel stays
     result-identical to the dense oracle.
     """
     grid = grid_days(YEAR_START, 365)
-    config = DatacenterConfig()
-    trace, requests = _fleet_site(11, grid)
+    site = fleet_site(11, grid, DatacenterConfig())
     stack = SupplyStack(
         (BatteryDispatch(capacity_mwh=800.0, max_power_mw=200.0),)
     )
 
-    _, open_s = _time_once(
-        lambda: Datacenter(config, trace).run(requests, engine="event")
-    )
-    kernel, kernel_s = _time_once(
-        lambda: Datacenter(config, trace, supply=stack).run(
-            requests, engine="event"
+    def run(supply, engine):
+        return Datacenter(site.config, site.trace, supply=supply).run(
+            site.requests, engine=engine
         )
+
+    open_t, kernel_t = paired(
+        lambda: run(None, "event"), lambda: run(stack, "event")
     )
-    dense, dense_s = _time_once(
-        lambda: Datacenter(config, trace, supply=stack).run(
-            requests, engine="dense"
-        )
-    )
+    dense, dense_t = rounds(lambda: run(stack, "dense"))
+    kernel = run(stack, "event")
     assert kernel.records == dense.records
     np.testing.assert_array_equal(
         kernel.supply.soc_mwh, dense.supply.soc_mwh
     )
-    _record(
+    ratio = kernel_t.median / open_t.median
+    record(
         "supply_battery_closed_loop_year",
         n_steps=grid.n,
-        open_loop_kernel_s=open_s,
-        closed_kernel_s=kernel_s,
-        closed_dense_s=dense_s,
-        closed_kernel_vs_open_loop=kernel_s / open_s,
+        open_loop_kernel_s=open_t,
+        closed_kernel_s=kernel_t,
+        closed_dense_s=dense_t,
+        closed_kernel_vs_open_loop=ratio,
         charge_mwh=kernel.supply.charge_total_mwh,
         discharge_mwh=kernel.supply.discharge_total_mwh,
     )
-    # Hard gate: a closed-loop battery year on the kernel stays within
-    # 4x of the open-loop kernel run.
-    assert kernel_s <= open_s * 4.0 + 0.5
+    assert ratio <= 4.0
 
 
 def test_supply_priced_grid_closed_loop_year():
@@ -228,46 +134,29 @@ def test_supply_priced_grid_closed_loop_year():
     budget; pinned in ``tests/test_supply_pricing.py``), so the runs
     are result-identical and the comparison isolates the ledger cost:
     accumulating cost/carbon alongside the budget draw must stay within
-    10% of the flat-budget closed-loop year (+0.5s noise floor).
+    10% of the flat-budget closed-loop year, on medians.
     """
     grid = grid_days(YEAR_START, 365)
-    config = DatacenterConfig()
-    trace, requests = _fleet_site(11, grid)
+    site = fleet_site(11, grid, DatacenterConfig())
     price = np.full(grid.n, 42.0)
     carbon = np.full(grid.n, 210.0)
 
-    def stack(grid_component):
+    def run(**pricing):
         # Battery small enough that wind lulls spill onto the grid —
         # the ledger only costs anything on steps that actually import.
-        return SupplyStack(
+        stack = SupplyStack(
             (
                 BatteryDispatch(capacity_mwh=50.0, max_power_mw=15.0),
-                grid_component,
+                PricedGridPower(budget_mwh=2000.0, max_power_mw=50.0, **pricing),
             )
         )
-
-    def run(grid_component):
         return Datacenter(
-            config,
-            trace,
-            supply=stack(grid_component),
-            supply_mode="closed",
-        ).run(requests, engine="soa")
+            site.config, site.trace, supply=stack, supply_mode="closed"
+        ).run(site.requests, engine="soa")
 
-    flat, flat_s = _time_once(
-        lambda: run(PricedGridPower(budget_mwh=2000.0, max_power_mw=50.0))
-    )
-    priced, priced_s = _time_once(
-        lambda: run(
-            PricedGridPower(
-                budget_mwh=2000.0,
-                max_power_mw=50.0,
-                price_per_mwh=price,
-                carbon_per_mwh=carbon,
-                policy="always",
-            )
-        )
-    )
+    pricing = dict(price_per_mwh=price, carbon_per_mwh=carbon, policy="always")
+    flat_t, priced_t = paired(run, lambda: run(**pricing))
+    flat, priced = run(), run(**pricing)
     assert flat.records == priced.records
     np.testing.assert_array_equal(
         flat.supply.grid_import_mwh, priced.supply.grid_import_mwh
@@ -276,18 +165,18 @@ def test_supply_priced_grid_closed_loop_year():
     assert imports > 0.0
     assert np.isclose(priced.supply.cost_total_usd, imports * 42.0)
     assert np.isclose(priced.supply.carbon_total_kg, imports * 210.0)
-    _record(
+    ratio = priced_t.median / flat_t.median
+    record(
         "supply_priced_grid_closed_loop_year",
         n_steps=grid.n,
-        flat_budget_s=flat_s,
-        priced_s=priced_s,
-        priced_vs_flat=priced_s / flat_s,
+        flat_budget_s=flat_t,
+        priced_s=priced_t,
+        priced_vs_flat=ratio,
         grid_import_mwh=imports,
         cost_usd=priced.supply.cost_total_usd,
         carbon_kg=priced.supply.carbon_total_kg,
     )
-    # Hard gate: the cost/carbon ledger is within 10% of flat budget.
-    assert priced_s <= flat_s * 1.10 + 0.5
+    assert ratio <= 1.10
 
 
 def test_supply_open_loop_evaluation_year():
@@ -303,13 +192,13 @@ def test_supply_open_loop_evaluation_year():
     stack = SupplyStack(
         (BatteryDispatch(capacity_mwh=800.0, max_power_mw=200.0),)
     )
-    evaluation, eval_s = _time_once(lambda: stack.evaluate_open_loop(trace))
+    evaluation, eval_t = rounds(lambda: stack.evaluate_open_loop(trace))
     assert len(evaluation.delivered) == grid.n
-    _record(
+    record(
         "supply_open_loop_eval_year",
         n_steps=grid.n,
-        eval_s=eval_s,
-        steps_per_s=grid.n / eval_s,
+        eval_s=eval_t,
+        steps_per_s=grid.n / eval_t.median,
         charge_mwh=evaluation.charge_total_mwh,
         discharge_mwh=evaluation.discharge_total_mwh,
     )

@@ -32,6 +32,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+from datetime import timedelta
 from numbers import Integral, Real
 from typing import Sequence
 
@@ -76,6 +77,13 @@ class _SiteEngine:
     def cursor(self) -> int:
         """Next step not yet executed (every step below it is final)."""
         return self.state.kernel.last + 1
+
+    @property
+    def day_steps(self) -> int:
+        """Steps of this site's grid that cover one day (the default
+        injection duration); rounds up when the step does not divide a
+        day, so it cannot raise."""
+        return math.ceil(timedelta(days=1) / self.state.grid.step)
 
     # -- injections ----------------------------------------------------
 
@@ -409,15 +417,15 @@ class SimSession:
           every battery of the targeted sites (closed loop only).
         * ``grid_budget`` — ``remaining_mwh`` *or* ``delta_mwh``:
           reset or top up firm-grid budgets (closed loop only).
-        * ``blackout`` — ``duration_steps`` (default one day of
-          steps): zero the targeted site's power from the current
-          step.  Without ``site``, a random site is drawn from the
-          session RNG.
+        * ``blackout`` — ``duration_steps`` (default one day of the
+          site's own grid steps): zero the targeted site's power from
+          the current step.  Without ``site``, a random site is drawn
+          from the session RNG.
         * ``spot_price`` — ``scale`` and/or ``delta_per_mwh``, plus
-          ``duration_steps`` (default one day): multiply/shift every
-          priced grid component's spot prices from the current step
-          (closed loop only), e.g. a 3x price spike the dvb policy
-          should ride through.
+          ``duration_steps`` (default one day of each site's own grid
+          steps): multiply/shift every priced grid component's spot
+          prices from the current step (closed loop only), e.g. a 3x
+          price spike the dvb policy should ride through.
 
         ``site`` targets one site by name; omit it to target all sites
         (``blackout``: one random site).  Returns the queued audit
@@ -514,16 +522,16 @@ class SimSession:
                         delta_mwh=action.get("delta_mwh"),
                     )
             elif kind == "spot_price":
-                duration = int(action.get("duration_steps", 96))
                 for se in targets:
+                    duration = int(action.get("duration_steps", se.day_steps))
                     touched += se.spot_price_shock(
                         self.step, self.step + duration,
                         scale=action.get("scale"),
                         delta_per_mwh=action.get("delta_per_mwh"),
                     )
             else:
-                duration = int(action.get("duration_steps", 96))
                 for se in targets:
+                    duration = int(action.get("duration_steps", se.day_steps))
                     touched += se.blackout(
                         self.step, self.step + duration
                     )

@@ -12,6 +12,8 @@ import pickle
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 from functools import lru_cache
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.test_fleet import (
+    START,
     assert_identical,
     battery_grid_stack,
     battery_stack,
@@ -35,6 +38,8 @@ from repro.errors import SessionError
 from repro.serve import SessionRegistry, SimSession
 from repro.supply import SupplyStack
 from repro.supply.components import BatteryDispatch, PricedGridPower
+from repro.traces import PowerTrace
+from repro.units import TimeGrid
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -528,6 +533,36 @@ class TestInjections:
             np.testing.assert_array_equal(
                 site.supply.components[1].price_per_mwh, prices
             )
+
+    def test_default_duration_is_one_day_of_the_site_grid(self):
+        """On an hourly grid a default blackout darkens 24 steps and a
+        default spot-price shock scales 24 prices."""
+        n = 240
+        grid = TimeGrid(START, timedelta(hours=1), n)
+        sites = [
+            replace(
+                site, trace=PowerTrace(grid, site.trace.values, site.name, "wind")
+            )
+            for site in (
+                make_site(16, n, 100, name="dark"),
+                make_site(
+                    17, n, 100, supply=priced_grid_stack(n),
+                    supply_mode="closed", name="priced",
+                ),
+            )
+        ]
+        session = SimSession(sites)
+        session.advance(100)
+        session.inject({"kind": "blackout", "site": "dark"})
+        session.inject({"kind": "spot_price", "scale": 3.0})
+        session.advance(1)
+        assert [e["touched"] for e in session.audit_tail()
+                if e["event"] == "apply"] == [24, 1]
+        dark, priced = session._sites
+        assert np.all(dark.state.cols.norm_power[100:124] == 0.0)
+        prices = priced.state.dispatcher.components[1].price_per_mwh
+        assert np.all(prices[100:124] == 150.0)
+        assert prices[99] == prices[124] == 50.0
 
     def test_invalid_injections_rejected(self):
         session = SimSession(make_site(1, 100, 10))
