@@ -156,11 +156,17 @@ def rounds(fn: Callable[[], Any]) -> tuple[Any, Timing]:
     return run_timed(fn, repeats=GATED_ROUNDS, warmup=0, seconds=BOX_S)
 
 
-def paired(fa: Callable[[], Any], fb: Callable[[], Any]) -> tuple[Timing, Timing]:
+def paired(
+    fa: Callable[[], Any],
+    fb: Callable[[], Any],
+    passes: int = GATED_ROUNDS,
+) -> tuple[Timing, Timing]:
     """The two legs of a gate, in alternating passes of one time box.
 
     One warm-up pass each, then passes in A B B A order for
-    ``2 * BOX_S`` seconds (at least :data:`GATED_ROUNDS` each).  Timed
+    ``2 * BOX_S`` seconds (at least ``passes`` each).  Legs of a
+    second or more get only ``passes`` passes in that box, so a gate
+    whose margin sits inside the spread of three asks for more.  Timed
     one after the other, each leg can draw a slow spell of the machine
     that the reference kernel does not track: on a 2-core box, the
     empty supply stack against the legacy call (identical code on both
@@ -180,7 +186,7 @@ def paired(fa: Callable[[], Any], fb: Callable[[], Any]) -> tuple[Timing, Timing
     picked: list[int] = []
     timing = timed(
         lambda: legs[picked[-1]](),
-        repeats=2 * GATED_ROUNDS,
+        repeats=2 * passes,
         warmup=2,
         seconds=2 * BOX_S,
         before=lambda: picked.append(next(order)),

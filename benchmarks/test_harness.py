@@ -102,3 +102,15 @@ def test_paired_alternates_legs(monkeypatch):
     assert calls == ["a", "b", "b", "a", "a", "b", "b", "a"]
     assert len(a.samples) == len(b.samples) == harness.GATED_ROUNDS
     assert max(a.raw) < 0.02 <= min(b.raw)
+
+
+def test_paired_runs_at_least_passes_each(monkeypatch):
+    """A gate may ask for more passes than :data:`GATED_ROUNDS`; each
+    leg then gets that many timed passes, still alternating."""
+    monkeypatch.setattr(harness, "BOX_S", 0.0)
+    calls = []
+    a, b = paired(
+        lambda: calls.append("a"), lambda: calls.append("b"), passes=9
+    )
+    assert len(a.samples) == len(b.samples) == 9
+    assert calls == ["a", "b"] + ["b", "a", "a", "b"] * 4 + ["b", "a"]

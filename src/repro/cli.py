@@ -293,8 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     schedule.add_argument(
         "--decompose", type=_decompose_spec, default=None, metavar="SPEC",
-        help="decompose the MIP policies' solves, e.g."
-        " 'window:24,relax-fix' (see repro.sched.DecomposeSpec)",
+        help="decompose the MIP policies' solves into windows of N"
+        " steps: 'window:N', e.g. 'window:24' (see"
+        " repro.sched.DecomposeSpec)",
     )
     _add_supply_options(schedule)
 
@@ -331,8 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--decompose", type=_decompose_spec, default=None, metavar="SPEC",
-        help="schedule mode: decompose the MIP policies' solves,"
-        " e.g. 'window:24,relax-fix'",
+        help="schedule mode: decompose the MIP policies' solves into"
+        " windows of N steps: 'window:N', e.g. 'window:24'",
     )
     _add_supply_options(sweep)
     _add_cache_options(sweep)

@@ -861,16 +861,6 @@ class Datacenter:
         cols.n_expired[step] = n_expired
         cols.queue_length[step] = len(self._queue)
 
-    def _budget_series(self, values: np.ndarray) -> np.ndarray:
-        """Whole-trace core budgets (vectorized when the model can)."""
-        series = getattr(self.power_model, "core_budget_series", None)
-        if series is not None:
-            return np.asarray(series(values), dtype=np.int64)
-        return np.array(
-            [self.power_model.core_budget(float(v)) for v in values],
-            dtype=np.int64,
-        )
-
     def _run_dense(
         self,
         n: int,
@@ -1008,7 +998,7 @@ class Datacenter:
                 clipped_full = np.clip(rt_full, 0.0, 1.0)
                 state.span_precompute = (
                     base_mw, rt_full, clipped_full,
-                    self._budget_series(clipped_full),
+                    self.power_model.core_budget_series(clipped_full),
                 )
             base_mw = state.span_precompute[0]
             core_budget = self.power_model.core_budget
@@ -1130,7 +1120,7 @@ class Datacenter:
         if clamp.any():
             delivered = np.where(clamp, demand_norm, rt)
             clipped = np.clip(delivered, 0.0, 1.0)
-            budgets = self._budget_series(clipped)
+            budgets = self.power_model.core_budget_series(clipped)
         else:
             delivered = rt
             clipped = clipped_full[start:stop]
@@ -1242,7 +1232,7 @@ class Datacenter:
                 values = np.asarray(evaluation.delivered, dtype=float)
             else:
                 values = np.asarray(self.power_trace.values, dtype=float)
-            budgets = self._budget_series(values)
+            budgets = self.power_model.core_budget_series(values)
             if n:
                 cols.norm_power[:] = values
                 cols.core_budget[:] = budgets

@@ -22,16 +22,14 @@ from .resources import ClusterSpec
 
 @runtime_checkable
 class PowerModel(Protocol):
-    """Maps normalized generation to a powered-core budget.
-
-    Implementations may additionally provide a vectorized
-    ``core_budget_series(values) -> np.ndarray`` returning the budget
-    for a whole trace at once; the simulator uses it when present and
-    falls back to per-step ``core_budget`` calls otherwise.
-    """
+    """Maps normalized generation to a powered-core budget."""
 
     def core_budget(self, norm_power: float) -> int:
         """Cores that may be powered when generation is ``norm_power``."""
+        ...
+
+    def core_budget_series(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`core_budget` over a whole trace, bit for bit."""
         ...
 
     def norm_for_cores(self, cores: int) -> float:

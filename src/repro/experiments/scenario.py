@@ -193,8 +193,8 @@ class PolicySpec:
         window_steps: Lookahead per solve (``rolling_mip`` only).
         day_ahead_forecasts: Refresh forecasts at each rolling solve
             (``rolling_mip`` only) instead of slicing the initial ones.
-        decompose: Decomposition spec token for ``"mip"`` policies
-            (e.g. ``"window:24,relax-fix"``), parsed by
+        decompose: Decomposition spec for ``"mip"`` policies,
+            ``"window:N"`` (e.g. ``"window:24"``), parsed by
             :meth:`repro.sched.DecomposeSpec.parse`; ``None`` solves
             monolithically.  Part of the result cache key.
         carbon_weight: Weight on grid-import carbon in the MIP

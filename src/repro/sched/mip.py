@@ -28,12 +28,12 @@ spreading out migrations over time".  Solved with HiGHS via
 :func:`scipy.optimize.milp`.
 
 Instances too large for one monolithic solve go through
-:mod:`repro.sched.decompose` (``MIPScheduler(decompose=...)``):
-temporal windows with the boundary ``u[s,t]`` carried across seams,
-and LP-relax-and-fix.  The seam state enters
-the model here as ``initial_displacement`` — the C3 traffic row at
-``t == 0`` becomes ``d+ - d- - u[s,0] = -u_prev[s]``, so a window is
-charged only for displacement *changes* relative to its predecessor.
+:mod:`repro.sched.decompose` (``MIPScheduler(decompose="window:24")``):
+a chain of temporal windows with the boundary ``u[s,t]`` carried
+across seams.  The seam state enters the model here as
+``initial_displacement`` — the C3 traffic row at ``t == 0`` becomes
+``d+ - d- - u[s,0] = -u_prev[s]``, so a window is charged only for
+displacement *changes* relative to its predecessor.
 
 Constraint assembly is vectorized: every constraint family (C1-C6)
 contributes numpy row/col/val blocks built with broadcasting, and one
@@ -132,10 +132,8 @@ class _Layout:
 
 @dataclass(frozen=True)
 class WindowTiming:
-    """Telemetry for one decomposition window (or sub-solve).
+    """Telemetry for one decomposition window.
 
-    ``gap`` is the certified relax-and-fix optimality gap of that
-    window's solve (``None`` when the window solved monolithically);
     ``dual_bound`` is the window solve's proven lower bound (see
     :class:`MIPTimings`).
     """
@@ -150,7 +148,6 @@ class WindowTiming:
     n_cols: int
     nnz: int
     objective: float | None = None
-    gap: float | None = None
     dual_bound: float | None = None
 
 
@@ -160,21 +157,19 @@ class MIPTimings:
 
     ``dual_bound`` is a proven lower bound on the optimum of the solved
     model, so ``objective - dual_bound`` is how far the solve may sit
-    from optimal: HiGHS's MIP dual bound for integer solves, the LP
-    relaxation's objective for relax-and-fix, and ``None`` for LP
-    solves (``integer_vms=False``) and for windowed solves as a whole
-    (each :class:`WindowTiming` carries its own).
+    from optimal: HiGHS's MIP dual bound for integer solves, and
+    ``None`` for LP solves (``integer_vms=False``) and for windowed
+    solves as a whole (each :class:`WindowTiming` carries its own).
 
-    For decomposed solves (``MIPScheduler(decompose=...)``):
+    For windowed solves (``MIPScheduler(decompose="window:N")``):
 
-    - ``mode`` is ``"window"`` or ``"relax-fix"`` (``"monolithic"``
-      otherwise); ``windows`` holds one :class:`WindowTiming` per
-      solved window, and the top-level ``assembly_s`` / ``solve_s`` /
-      ``n_rows`` / ``n_cols`` / ``nnz`` are sums over the windows.
+    - ``mode`` is ``"window"`` (``"monolithic"`` otherwise);
+      ``windows`` holds one :class:`WindowTiming` per solved window,
+      and the top-level ``assembly_s`` / ``solve_s`` / ``n_rows`` /
+      ``n_cols`` / ``nnz`` are sums over the windows.
     - ``objective`` is the O1(+anchor) value of the returned placement
       (the solver objective for monolithic solves).
-    - ``gap`` is the certified LP-bound gap of a relax-and-fix solve.
-    - ``fell_back`` flags that the decomposed path gave up and the
+    - ``fell_back`` flags that the windowed solve gave up and the
       result came from a full monolithic solve.
     """
 
@@ -185,7 +180,6 @@ class MIPTimings:
     nnz: int
     objective: float | None = None
     mode: str = "monolithic"
-    gap: float | None = None
     dual_bound: float | None = None
     fell_back: bool = False
     windows: tuple[WindowTiming, ...] = ()
@@ -592,9 +586,9 @@ class MIPScheduler:
             accepted when the limit strikes.
         mip_rel_gap: Relative optimality gap at which HiGHS may stop.
         epsilon: Anchor weight keeping u finite (see module docstring).
-        decompose: Optional decomposition strategy for large instances:
-            a :class:`~repro.sched.decompose.DecomposeSpec` or its
-            string form (e.g. ``"window:24,relax-fix"``, see
+        decompose: Optional decomposition for large instances: a
+            :class:`~repro.sched.decompose.DecomposeSpec` or its
+            string form ``"window:N"`` (e.g. ``"window:24"``, see
             :meth:`DecomposeSpec.parse`).  ``None`` (default) solves
             monolithically.
 
@@ -840,37 +834,21 @@ class MIPScheduler:
         )
 
     def _solve_model(
-        self,
-        model: _Model,
-        relax: bool = False,
-        lower: np.ndarray | None = None,
-        upper: np.ndarray | None = None,
+        self, model: _Model
     ) -> tuple[np.ndarray, int, float | None]:
         """Solve one assembled model; return ``(x, status, dual_bound)``.
 
         ``dual_bound`` is HiGHS's MIP dual bound (``None`` for an LP).
 
-        Args:
-            model: The assembled instance.
-            relax: Drop integrality (LP relaxation).
-            lower / upper: Variable-bound overrides (relax-and-fix
-                passes tightened y bounds here).
-
         Raises:
             SolverError: when no feasible solution was produced; carries
                 the solver status and the problem shape.
         """
-        integrality = (
-            np.zeros(model.layout.n_vars) if relax else model.integrality
-        )
         result = milp(
             model.c,
             constraints=LinearConstraint(model.matrix, model.lb, model.ub),
-            integrality=integrality,
-            bounds=Bounds(
-                model.lower if lower is None else lower,
-                model.upper if upper is None else upper,
-            ),
+            integrality=model.integrality,
+            bounds=Bounds(model.lower, model.upper),
             options={
                 "time_limit": self.time_limit_s,
                 "mip_rel_gap": self.mip_rel_gap,
@@ -1004,8 +982,9 @@ class RollingMIPScheduler:
         starts from ``u = 0`` and re-charges any displacement inherited
         from its predecessor at its first step.  The decomposition
         layer (:mod:`repro.sched.decompose`) carries the boundary ``u``
-        instead, which is what makes it objective-exact; this class
-        keeps the paper's plain re-solve-daily semantics.
+        instead, so its per-window charges add up to the merged
+        placement's objective; this class keeps the paper's plain
+        re-solve-daily semantics.
         """
         from .decompose import WindowState, build_window_problem, plan_windows
 

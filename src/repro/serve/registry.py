@@ -58,6 +58,18 @@ class SessionRegistry:
         return f"s{self._counter:04d}"
 
     def _claim(self, session_id: str | None) -> str:
+        # A route takes the id as one path segment, so an id that is
+        # not a non-empty string without '/' could never be reached
+        # (not even to delete it).
+        if session_id is not None and (
+            not isinstance(session_id, str)
+            or not session_id
+            or "/" in session_id
+        ):
+            raise SessionError(
+                f"session id must be a non-empty string without '/':"
+                f" {session_id!r}"
+            )
         with self._lock:
             if session_id is None:
                 session_id = self._new_id()

@@ -90,7 +90,7 @@ def test_schedule_decomposed(capsys):
 
 def test_bad_decompose_spec_is_a_usage_error(capsys):
     for command in (["schedule"], ["sweep", "--mode", "schedule"]):
-        for spec in ("frobnicate", "window:24,jobs:2"):
+        for spec in ("frobnicate", "window:24,jobs:2", "relax-fix"):
             with pytest.raises(SystemExit) as exit_info:
                 main(command + ["--decompose", spec])
             assert exit_info.value.code == 2

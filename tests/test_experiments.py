@@ -114,6 +114,8 @@ class TestScenarioSerialization:
         with pytest.raises(ConfigurationError):
             PolicySpec("X", "mip", decompose="window:24,jobs:2")
         with pytest.raises(ConfigurationError):
+            PolicySpec("X", "mip", decompose="window:24,relax-fix")
+        with pytest.raises(ConfigurationError):
             # Decomposition only applies to plain MIP policies.
             PolicySpec("X", "rolling_mip", decompose="window:24")
 

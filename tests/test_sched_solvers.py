@@ -270,7 +270,6 @@ class TestWarmStart:
         assert t is not None
         assert t.mode == "monolithic"
         assert t.fell_back is False
-        assert t.gap is None
         assert t.windows == ()
 
     def test_warm_start_falls_back_cleanly(self):

@@ -279,6 +279,29 @@ class TestEndpoints:
         assert client.post("/sessions/restore", data=b"junk").status == 400
         assert client.post("/sessions/restore", data=stale).status == 400
 
+    def test_unreachable_session_ids_are_rejected(self, client):
+        """Routes take the id as one path segment, so an id that is not
+        a non-empty string without '/' would be created but never
+        reached again, not even to delete it."""
+        sid = create_session(client)["session_id"]
+        blob = client.get(f"/sessions/{sid}/checkpoint").body
+        for bad in (5, "a/b", ""):
+            created = client.post("/sessions", json={
+                "scenario": tiny_scenario().to_dict(), "session_id": bad,
+            })
+            assert created.status == 400, bad
+            assert "session id" in created.json()["error"]
+            forked = client.post(
+                f"/sessions/{sid}/fork", json={"session_id": bad}
+            )
+            assert forked.status == 400, bad
+        restored = client.post(
+            "/sessions/restore?session_id=a%2Fb", data=blob
+        )
+        assert restored.status == 400
+        listing = client.get("/sessions").json()["sessions"]
+        assert [entry["session_id"] for entry in listing] == [sid]
+
     def test_engine_soa_session(self, client):
         status = create_session(client, engine="soa")
         sid = status["session_id"]
